@@ -8,7 +8,7 @@ The package is organised as:
 * :mod:`bihomcheck.constructions` -- constructions with verified hypotheses,
 * :mod:`bihomcheck.theorems` -- the verification registry T1..T12,
 * :mod:`bihomcheck.discovery` -- certified exhaustive searches + catalogue,
-* :mod:`bihomcheck.kernels` -- integer fast paths (numba / numpy),
+* :mod:`bihomcheck.kernels` -- the integer (numpy) search prefilter,
 * :mod:`bihomcheck.serialize` / :mod:`bihomcheck.cli` -- JSON documents
   and the command-line interface.
 """

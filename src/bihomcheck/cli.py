@@ -12,7 +12,7 @@ Subcommands:
 * ``catalogue [list | export <id> -o OUT]`` -- access the built-in examples.
 
 Exit codes: 0 success / all passed, 1 a check or conclusion failed,
-2 usage or document errors, 3 a construction hypothesis failed.
+2 usage, document or input errors, 3 a construction hypothesis failed.
 """
 
 from __future__ import annotations
@@ -444,6 +444,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (SearchSpaceTooLargeError, InternalInconsistencyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        # other input the library rejects: a ShapeError from mismatched
+        # dimensions, an unknown BIHOMCHECK_KERNEL, an invalid ambient
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

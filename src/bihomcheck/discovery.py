@@ -5,8 +5,8 @@ built-in example catalogue.
 the free slots of a candidate object (a tensor, an operator matrix, or a
 pair of maps), filters by the target's law and re-certifies every survivor
 with the exact rational checkers.  Enumeration order is lexicographic over
-the grid, so results are deterministic; the integer fast paths in
-:mod:`bihomcheck.kernels` only prefilter and can never change the answer.
+the grid, so results are deterministic; the integer fast path in
+:mod:`bihomcheck.kernels` only prefilters and can never change the answer.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .exactlin import (
     LinearMap,
     Tensor2,
     compose,
+    compose_delta,
     frac,
     is_algebra_map,
-    map_tensor2,
+    is_coalgebra_map,
     maps_commute,
     power,
 )
@@ -199,7 +200,8 @@ def search(spec: SearchSpec, ambient, backend: str | None = None) -> list:
     Returns Tensor2 solutions for the Yang-Baxter target, LinearMaps for
     operator/derivation targets, and (LinearMap, LinearMap) pairs for the
     commuting-map target.  Every result has been re-checked by the exact
-    rational checker for its law.
+    rational checker for its law.  ``backend`` (auto|numpy|exact) overrides
+    ``BIHOMCHECK_KERNEL`` for this call.
     """
     _validate_ambient(spec.target, ambient)
     mu = _ambient_product(spec.target, ambient)
@@ -234,7 +236,7 @@ def search(spec: SearchSpec, ambient, backend: str | None = None) -> list:
         return results
 
     coeff_ints = [int(c) for c in spec.coefficients]
-    for idx in kernels.fast_survivors(problem, coeff_ints, chosen):
+    for idx in kernels.fast_survivors(problem, coeff_ints):
         assignment = _assignment_from_index(idx, spec.coefficients, n_slots)
         obj = _decode(spec, dim, slots, assignment)
         if not certify(obj):
@@ -511,22 +513,13 @@ def twist_factory(base: CatalogueEntry, maps: tuple[LinearMap, ...]):
         v = is_algebra_map(al, b.mu)
         if not v.passed:
             raise PreconditionError("alpha-algebra-map")
-        for m in range(b.dim):
-            img = b.delta.image(m)
-            twisted_img = map_tensor2(al, al, img)
-            direct = Tensor2([[sum((al.entries[p][m] * b.delta.cube[p][j][k]
-                                    for p in range(b.dim)), Fraction(0))
-                               for k in range(b.dim)] for j in range(b.dim)])
-            if twisted_img != direct:
-                raise PreconditionError("alpha-coalgebra-map",
-                                        f"fails at basis index {m}")
+        v = is_coalgebra_map(al, b.delta)
+        if not v.passed:
+            raise PreconditionError("alpha-coalgebra-map",
+                                    f"fails at basis index {v.witness.indices[0]}")
         from .constructions import _post_product
         new_mu = _post_product(al, b.mu)
-        new_delta = Comultiplication(tuple(
-            tuple(tuple(sum((al.entries[p][m] * b.delta.cube[p][j][k]
-                             for p in range(b.dim)), Fraction(0))
-                        for k in range(b.dim)) for j in range(b.dim))
-            for m in range(b.dim)))
+        new_delta = compose_delta(b.delta, al)
         twisted = InfHomBialgebra(new_mu, new_delta, al)
         v = check_inf_hom_bialgebra(twisted)
         if not v.passed:

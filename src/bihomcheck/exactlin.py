@@ -455,6 +455,37 @@ def is_algebra_map(f: LinearMap, m: BilinearOp) -> CheckVerdict:
     return CheckVerdict.ok()
 
 
+def compose_delta(delta: Comultiplication, f: LinearMap) -> Comultiplication:
+    """Delta o f, which sends e_m to sum_p f[p][m] Delta(e_p)."""
+    if f.dim_in != f.dim_out or f.dim_in != delta.dim:
+        raise ShapeError("map and comultiplication dims differ")
+    d = delta.dim
+    cube = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for m in range(d):
+        for p in range(d):
+            c = f.entries[p][m]
+            if not c:
+                continue
+            for j in range(d):
+                for k in range(d):
+                    if delta.cube[p][j][k]:
+                        cube[m][j][k] += c * delta.cube[p][j][k]
+    return Comultiplication(cube)
+
+
+def is_coalgebra_map(f: LinearMap, delta: Comultiplication) -> CheckVerdict:
+    """Pass iff (f (x) f)(Delta(e_m)) = Delta(f(e_m)) for all basis indices."""
+    after = compose_delta(delta, f)
+    for m in range(delta.dim):
+        lhs = map_tensor2(f, f, delta.image(m))
+        rhs = after.image(m)
+        if lhs != rhs:
+            return CheckVerdict.fail("comultiplicative", (m,),
+                                     [x for r in lhs.coeffs for x in r],
+                                     [x for r in rhs.coeffs for x in r])
+    return CheckVerdict.ok()
+
+
 def bilinear_equal(m1: BilinearOp, m2: BilinearOp) -> CheckVerdict:
     """Pass iff all structure constants agree; first differing (i,j,k) else."""
     if m1.dim != m2.dim:

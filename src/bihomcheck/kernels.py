@@ -1,4 +1,4 @@
-"""Integer fast paths for the exhaustive candidate searches.
+"""Integer fast path for the exhaustive candidate searches.
 
 Search grids are assignments of coefficients to free slots; each target's
 acceptance condition is a polynomial identity in those coefficients.  When
@@ -11,16 +11,10 @@ the largest coefficient magnitude bounds every intermediate of the real
 computation.  If that bound does not fit comfortably in int64 the caller
 falls back to the exact rational path.
 
-Two implementations of the same mask are provided:
-
-* ``numba`` -- @njit per-candidate loops with early exit (default when
-  importable), and
-* ``numpy`` -- vectorized batch evaluation of whole candidate chunks.
-
-``BIHOMCHECK_KERNEL`` selects the path (``auto`` / ``numba`` / ``numpy`` /
-``exact``).  Both fast paths return identical survivor lists, and the
-search layer re-certifies every survivor with the exact rational checkers
-regardless of the path taken.
+The mask is a vectorized numpy evaluation of whole candidate chunks.
+``BIHOMCHECK_KERNEL`` selects the path (``auto`` / ``numpy`` / ``exact``);
+the search layer re-certifies every survivor with the exact rational
+checkers regardless of the path taken.
 """
 
 from __future__ import annotations
@@ -30,47 +24,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
 ENV_VAR = "BIHOMCHECK_KERNEL"
+BACKENDS = ("auto", "numpy", "exact")
 INT64_SAFE = 1 << 62
-#: below this many candidates the exact path is cheaper than jit/compile
+#: under ``auto``, grids of at most this many candidates run the exact path
 SMALL_SPACE = 2048
 CHUNK = 8192
 
 
-def requested_backend() -> str:
-    value = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if value not in ("auto", "numba", "numpy", "exact"):
-        raise ValueError(f"{ENV_VAR} must be auto|numba|numpy|exact, got {value!r}")
+def _check_backend(value: str, source: str) -> str:
+    """Return ``value`` if it names a backend, else raise ValueError."""
+    if value == "numba":
+        raise ValueError(f"{source}: the numba backend was removed; "
+                         "use auto|numpy|exact")
+    if value not in BACKENDS:
+        raise ValueError(f"{source} must be auto|numpy|exact, got {value!r}")
     return value
+
+
+def requested_backend() -> str:
+    return _check_backend(os.environ.get(ENV_VAR, "auto").strip().lower(),
+                          ENV_VAR)
 
 
 def resolve_backend(n_candidates: int, requested: str | None = None,
                     int_data: bool = True, bound_ok: bool = True) -> str:
-    """Pick the backend actually used for a search of the given size."""
-    req = requested or requested_backend()
+    """Pick the backend actually used for a search of the given size:
+    ``"exact"`` or ``"numpy"``."""
+    req = (_check_backend(requested, "backend") if requested
+           else requested_backend())
     if req == "exact" or not int_data or not bound_ok:
         return "exact"
-    if req == "auto":
-        if n_candidates <= SMALL_SPACE:
-            return "exact"
-        return "numba" if HAVE_NUMBA else "numpy"
-    if req == "numba" and not HAVE_NUMBA:
-        return "numpy"
-    return req
+    if req == "auto" and n_candidates <= SMALL_SPACE:
+        return "exact"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +127,7 @@ def scatter(problem: GridProblem, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# numpy backend: each condition as a subtraction-free (lhs, rhs) pair
+# The mask: each condition as a subtraction-free (lhs, rhs) pair
 # ---------------------------------------------------------------------------
 
 def _np_conditions(problem: GridProblem, cands: tuple[np.ndarray, ...]):
@@ -226,277 +213,23 @@ def magnitude_bound(problem: GridProblem, coeff_max: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numba backend: per-candidate loops with early exit
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _nb_commutes(R, M):
-    d = R.shape[0]
-    for i in range(d):
-        for j in range(d):
-            a = np.int64(0)
-            b = np.int64(0)
-            for k in range(d):
-                a += R[i, k] * M[k, j]
-                b += M[i, k] * R[k, j]
-            if a != b:
-                return False
-    return True
-
-
-@njit(cache=True)
-def _nb_matmul(A, B, out):
-    d = A.shape[0]
-    for i in range(d):
-        for j in range(d):
-            s = np.int64(0)
-            for k in range(d):
-                s += A[i, k] * B[k, j]
-            out[i, j] = s
-
-
-@njit(cache=True)
-def _nb_invariant(M, r):
-    d = M.shape[0]
-    for a in range(d):
-        for c in range(d):
-            s = np.int64(0)
-            for p in range(d):
-                mp = M[a, p]
-                if mp == 0:
-                    continue
-                for q in range(d):
-                    s += mp * r[p, q] * M[c, q]
-            if s != r[a, c]:
-                return False
-    return True
-
-
-@njit(cache=True)
-def _nb_residue_zero(mu, A, B, r):
-    d = mu.shape[0]
-    for u in range(d):
-        for v in range(d):
-            for w in range(d):
-                t12 = np.int64(0)
-                t13 = np.int64(0)
-                t23 = np.int64(0)
-                for p in range(d):
-                    for q in range(d):
-                        cpq = r[p, q]
-                        if cpq == 0:
-                            continue
-                        for s in range(d):
-                            for t in range(d):
-                                cst = r[s, t]
-                                if cst == 0:
-                                    continue
-                                c = cpq * cst
-                                t12 += c * A[u, p] * mu[q, s, v] * B[w, t]
-                                t13 += c * mu[p, s, u] * B[v, t] * B[w, q]
-                                t23 += c * A[u, p] * A[v, s] * mu[t, q, w]
-                if t13 + t23 != t12:
-                    return False
-    return True
-
-
-@njit(cache=True)
-def _nb_run_aybe(mu, A, B, cands, out):
-    for x in range(cands.shape[0]):
-        r = cands[x]
-        out[x] = (_nb_invariant(A, r) and _nb_invariant(B, r)
-                  and _nb_residue_zero(mu, A, B, r))
-
-
-@njit(cache=True)
-def _nb_brace_identity(mu, S, T, R):
-    d = mu.shape[0]
-    U = np.zeros((d, d), dtype=np.int64)
-    V = np.zeros((d, d), dtype=np.int64)
-    _nb_matmul(R, S, U)
-    _nb_matmul(R, T, V)
-    w = np.zeros(d, dtype=np.int64)
-    lhs = np.zeros(d, dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs[k] = 0
-                w[k] = 0
-            for p in range(d):
-                for q in range(d):
-                    a = U[p, i] * V[q, j]
-                    b = S[p, i] * R[q, j] + R[p, i] * T[q, j]
-                    if a != 0 or b != 0:
-                        for k in range(d):
-                            m = mu[p, q, k]
-                            if m != 0:
-                                lhs[k] += a * m
-                                w[k] += b * m
-            for k in range(d):
-                s = np.int64(0)
-                for m in range(d):
-                    s += w[m] * R[k, m]
-                if lhs[k] != s:
-                    return False
-    return True
-
-
-@njit(cache=True)
-def _nb_paren_identity(mu, S, T, R):
-    d = mu.shape[0]
-    U = np.zeros((d, d), dtype=np.int64)
-    V = np.zeros((d, d), dtype=np.int64)
-    _nb_matmul(S, R, U)
-    _nb_matmul(T, R, V)
-    w = np.zeros(d, dtype=np.int64)
-    lhs = np.zeros(d, dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs[k] = 0
-                w[k] = 0
-            for p in range(d):
-                for q in range(d):
-                    a = R[p, i] * R[q, j]
-                    if a != 0:
-                        for k in range(d):
-                            m = mu[p, q, k]
-                            if m != 0:
-                                lhs[k] += a * m
-            for p in range(d):
-                up = U[p, i]
-                if up != 0:
-                    for m in range(d):
-                        mm = mu[p, j, m]
-                        if mm != 0:
-                            w[m] += up * mm
-            for q in range(d):
-                vq = V[q, j]
-                if vq != 0:
-                    for m in range(d):
-                        mm = mu[i, q, m]
-                        if mm != 0:
-                            w[m] += vq * mm
-            for k in range(d):
-                s = np.int64(0)
-                for m in range(d):
-                    s += w[m] * R[k, m]
-                if lhs[k] != s:
-                    return False
-    return True
-
-
-@njit(cache=True)
-def _nb_deriv_identity(mu, S, T, D):
-    d = mu.shape[0]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = np.int64(0)
-                for m in range(d):
-                    lhs += mu[i, j, m] * D[k, m]
-                rhs = np.int64(0)
-                for p in range(d):
-                    for q in range(d):
-                        m = mu[p, q, k]
-                        if m != 0:
-                            rhs += (D[p, i] * T[q, j] + S[p, i] * D[q, j]) * m
-                if lhs != rhs:
-                    return False
-    return True
-
-
-@njit(cache=True)
-def _nb_is_algebra_map(mu, F):
-    d = mu.shape[0]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = np.int64(0)
-                for m in range(d):
-                    lhs += mu[i, j, m] * F[k, m]
-                rhs = np.int64(0)
-                for p in range(d):
-                    fp = F[p, i]
-                    if fp == 0:
-                        continue
-                    for q in range(d):
-                        fq = F[q, j]
-                        if fq != 0:
-                            rhs += fp * fq * mu[p, q, k]
-                if lhs != rhs:
-                    return False
-    return True
-
-
-@njit(cache=True)
-def _nb_run_twisted(mu, S, T, comm, cands, out, brace):
-    for x in range(cands.shape[0]):
-        R = cands[x]
-        ok = True
-        for c in range(comm.shape[0]):
-            if not _nb_commutes(R, comm[c]):
-                ok = False
-                break
-        if ok:
-            if brace == 1:
-                ok = _nb_brace_identity(mu, S, T, R)
-            elif brace == 0:
-                ok = _nb_paren_identity(mu, S, T, R)
-            else:
-                ok = _nb_deriv_identity(mu, S, T, R)
-        out[x] = ok
-
-
-@njit(cache=True)
-def _nb_run_pair(mu, fs, gs, out):
-    for x in range(fs.shape[0]):
-        f = fs[x]
-        g = gs[x]
-        out[x] = (_nb_is_algebra_map(mu, f) and _nb_is_algebra_map(mu, g)
-                  and _nb_commutes(f, g))
-
-
-def numba_mask(problem: GridProblem, cands: tuple[np.ndarray, ...]) -> np.ndarray:
-    out = np.zeros(cands[0].shape[0], dtype=np.bool_)
-    kind = problem.kind
-    if kind == "aybe":
-        _nb_run_aybe(problem.mu, problem.left, problem.right, cands[0], out)
-    elif kind == "brace-rb":
-        _nb_run_twisted(problem.mu, problem.left, problem.right,
-                        problem.commute, cands[0], out, 1)
-    elif kind == "paren-rb":
-        _nb_run_twisted(problem.mu, problem.left, problem.right,
-                        problem.commute, cands[0], out, 0)
-    elif kind == "derivation":
-        _nb_run_twisted(problem.mu, problem.left, problem.right,
-                        problem.commute, cands[0], out, 2)
-    elif kind == "map-pair":
-        _nb_run_pair(problem.mu, cands[0], cands[1], out)
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
 def fast_survivors(problem: GridProblem, coeff_values: list[int],
-                   backend: str, chunk: int = CHUNK) -> list[int]:
+                   chunk: int = CHUNK) -> list[int]:
     """Indices (in lexicographic enumeration order) of all grid candidates
     passing the target's integer mask."""
     values = np.array(coeff_values, dtype=np.int64)
     n_slots = problem.n_slots
     total = len(coeff_values) ** n_slots
-    mask_fn = numba_mask if backend == "numba" else numpy_mask
     survivors: list[int] = []
     start = 0
     while start < total:
         stop = min(start + chunk, total)
         coeffs = decode_chunk(start, stop, len(coeff_values), n_slots, values)
         cands = scatter(problem, coeffs)
-        mask = mask_fn(problem, cands)
+        mask = numpy_mask(problem, cands)
         survivors.extend(int(i) + start for i in np.nonzero(mask)[0])
         start = stop
     return survivors

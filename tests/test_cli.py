@@ -56,6 +56,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", "aybe", export("m2"))
         assert code == 2 and "error" in err
 
+    def test_dimension_mismatch_exits_2(self, capsys, export, tmp_path):
+        from bihomcheck.exactlin import Tensor2
+        from bihomcheck.serialize import doc_from_tensor2
+        r = tmp_path / "r2.json"
+        dump_path(doc_from_tensor2(Tensor2.zero(2)), str(r))
+        code, out, err = run(capsys, "check", "aybe", export("m2"), str(r))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "bihom-assoc", "no-such.json")
         assert code == 2
@@ -123,7 +132,8 @@ class TestConstruct:
 
 
 class TestSearch:
-    def test_streams_solutions(self, capsys, tmp_path):
+    @staticmethod
+    def write_spec(tmp_path):
         ambient = catalogue_document(catalogue_entry("dx2"))
         spec_doc = {
             "schema_version": "1", "kind": "search-spec",
@@ -136,11 +146,22 @@ class TestSearch:
         }
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_doc))
+        return spec_path
+
+    def test_streams_solutions(self, capsys, tmp_path):
+        spec_path = self.write_spec(tmp_path)
         code, out, _ = run(capsys, "search", str(spec_path))
         assert code == 0
         lines = [json.loads(line) for line in out.splitlines()]
         assert len(lines) == 7
         assert all(doc["kind"] == "tensor2" for doc in lines)
+
+    def test_removed_kernel_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BIHOMCHECK_KERNEL", "numba")
+        spec_path = self.write_spec(tmp_path)
+        code, out, err = run(capsys, "search", str(spec_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "removed" in err
 
 
 class TestVerifyTheorem:

@@ -30,7 +30,7 @@ from bihomcheck.structures import (
 )
 
 F = Fraction
-BACKENDS = ("exact", "numpy", "numba")
+BACKENDS = ("exact", "numpy")
 
 
 def diag(*values):
@@ -203,7 +203,7 @@ class TestKernels:
         monkeypatch.delenv(kernels.ENV_VAR, raising=False)
         assert kernels.resolve_backend(100) == "exact"  # tiny space
         big = kernels.SMALL_SPACE + 1
-        assert kernels.resolve_backend(big) in ("numba", "numpy")
+        assert kernels.resolve_backend(big) == "numpy"
         assert kernels.resolve_backend(big, int_data=False) == "exact"
         assert kernels.resolve_backend(big, bound_ok=False) == "exact"
         monkeypatch.setenv(kernels.ENV_VAR, "exact")
@@ -211,6 +211,18 @@ class TestKernels:
         monkeypatch.setenv(kernels.ENV_VAR, "bogus")
         with pytest.raises(ValueError):
             kernels.resolve_backend(big)
+
+    def test_numba_backend_was_removed(self, dx2, monkeypatch):
+        monkeypatch.setenv(kernels.ENV_VAR, "numba")
+        with pytest.raises(ValueError, match="removed"):
+            search(SearchSpec(AybeTarget()), dx2)
+        monkeypatch.delenv(kernels.ENV_VAR)
+        with pytest.raises(ValueError, match="removed"):
+            search(SearchSpec(AybeTarget()), dx2, backend="numba")
+
+    def test_unknown_explicit_backend_rejected(self, dx2):
+        with pytest.raises(ValueError):
+            search(SearchSpec(AybeTarget()), dx2, backend="bogus")
 
     def test_magnitude_bound_is_small_for_catalogue(self, m2):
         import numpy as np

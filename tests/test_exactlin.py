@@ -13,8 +13,10 @@ from bihomcheck.exactlin import (
     apply_bilinear,
     bilinear_equal,
     compose,
+    compose_delta,
     invert,
     is_algebra_map,
+    is_coalgebra_map,
     map_tensor2,
     power,
 )
@@ -148,6 +150,32 @@ class TestIsAlgebraMap:
         assert v.witness.indices == (0, 0)
         assert v.witness.lhs == (F(0), F(2))
         assert v.witness.rhs == (F(0), F(1))
+
+
+class TestIsCoalgebraMap:
+    def test_identity_passes(self, dx2_infbialg):
+        delta = dx2_infbialg.delta
+        assert is_coalgebra_map(diag(1, 1), delta).passed
+        assert compose_delta(delta, diag(1, 1)) == delta
+
+    def test_stretch_fails_on_dual_numbers(self, dx2_infbialg):
+        delta = dx2_infbialg.delta
+        v = is_coalgebra_map(diag(1, 2), delta)
+        assert not v.passed and v.law == "comultiplicative"
+        assert v.witness.indices == (1,)
+        assert v.witness.lhs == (F(0), F(0), F(0), F(4))
+        assert v.witness.rhs == (F(0), F(0), F(0), F(2))
+
+    def test_compose_delta_images(self, dx2_infbialg):
+        delta = dx2_infbialg.delta
+        after = compose_delta(delta, diag(1, 2))
+        assert after.image(0) == delta.image(0)
+        assert after.image(1) == Tensor2([[F(2) * x for x in row]
+                                          for row in delta.image(1).coeffs])
+
+    def test_shape_error(self, dx2_infbialg, id4):
+        with pytest.raises(ShapeError):
+            is_coalgebra_map(id4, dx2_infbialg.delta)
 
 
 class TestBilinearEqual:
