@@ -102,24 +102,24 @@ def _run_check(args) -> int:
         verdict = check_bihom_associative(a)
     elif law == "hom-coassoc":
         need(1)
-        verdict = check_hom_coassociative(ser.to_hom_coalgebra(docs[0]))
+        verdict = check_hom_coassociative(ser.to_bundle(docs[0], "hom-coalgebra"))
     elif law in ("inf-compat", "inf-bialgebra"):
         need(1)
-        b, _ = ser.to_inf_bialgebra(docs[0])
+        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
         verdict = (check_infinitesimal_compat(b) if law == "inf-compat"
                    else check_inf_hom_bialgebra(b))
     elif law == "dendriform":
         need(1)
-        verdict = check_bihom_dendriform(ser.to_dendriform(docs[0]))
+        verdict = check_bihom_dendriform(ser.to_bundle(docs[0], "dendriform"))
     elif law == "hom-prelie":
         need(1)
-        verdict = check_hom_prelie(ser.to_hom_prelie(docs[0]))
+        verdict = check_hom_prelie(ser.to_bundle(docs[0], "hom-prelie"))
     elif law == "hom-novikov":
         need(1)
-        verdict = check_hom_novikov(ser.to_hom_prelie(docs[0]))
+        verdict = check_hom_novikov(ser.to_bundle(docs[0], "hom-prelie"))
     elif law == "hom-lie":
         need(1)
-        verdict = check_hom_lie(ser.to_hom_lie(docs[0]))
+        verdict = check_hom_lie(ser.to_bundle(docs[0], "hom-lie"))
     elif law == "aybe":
         need(2)
         a = ser.to_bihom_algebra(docs[0])
@@ -159,17 +159,19 @@ def _run_construct(args) -> int:
         out(ser.doc_from_bihom(twisted))
     elif recipe == "dendriform-sum":
         need(1)
-        out(ser.doc_from_bihom(dendriform_sum(ser.to_dendriform(docs[0]))))
+        d = ser.to_bundle(docs[0], "dendriform")
+        out(ser.doc_from_bihom(dendriform_sum(d)))
     elif recipe == "dendriform-circ":
         need(1)
-        out(ser.doc_from_prelie(dendriform_circ(ser.to_dendriform(docs[0]))))
+        d = ser.to_bundle(docs[0], "dendriform")
+        out(ser.doc_from_bundle(dendriform_circ(d)))
     elif recipe == "dendriform-from-rb":
         need(4)
         a = ser.to_bihom_algebra(docs[0])
         dend = dendriform_from_paren_rb(a.mu, ser.to_linear_map(docs[1]),
                                         ser.to_linear_map(docs[2]),
                                         ser.to_linear_map(docs[3]))
-        out(ser.doc_from_dendriform(dend))
+        out(ser.doc_from_bundle(dend))
     elif recipe == "simprop":
         need(4)
         a = ser.to_bihom_algebra(docs[0])
@@ -177,23 +179,23 @@ def _run_construct(args) -> int:
         dend = simprop_dendriform(a, ser.to_linear_map(docs[1]),
                                   ser.to_linear_map(docs[2]), eta,
                                   ser.to_linear_map(docs[3]))
-        out(ser.doc_from_dendriform(dend))
+        out(ser.doc_from_bundle(dend))
     elif recipe == "moregendend":
         need(2)
         h = ser.to_hom_algebra(docs[0])
         dend, total, circ = moregendend_triple(h, args.n,
                                                ser.to_linear_map(docs[1]))
-        ser.dump_path(ser.doc_from_dendriform(dend),
+        ser.dump_path(ser.doc_from_bundle(dend),
                       args.output + ".dendriform.json")
         ser.dump_path(ser.doc_from_bihom(total.as_bihom()),
                       args.output + ".sum.json")
-        ser.dump_path(ser.doc_from_prelie(circ), args.output + ".prelie.json")
+        ser.dump_path(ser.doc_from_bundle(circ), args.output + ".prelie.json")
     elif recipe == "analoglie":
         need(2)
         from .constructions import analoglie_prelie
-        prelie = analoglie_prelie(ser.to_hom_lie(docs[0]), args.n,
+        prelie = analoglie_prelie(ser.to_bundle(docs[0], "hom-lie"), args.n,
                                   ser.to_linear_map(docs[1]))
-        out(ser.doc_from_prelie(prelie))
+        out(ser.doc_from_bundle(prelie))
     elif recipe == "abrb":
         need(2)
         a = ser.to_bihom_algebra(docs[0])
@@ -201,16 +203,16 @@ def _run_construct(args) -> int:
     elif recipe == "gengd":
         need(2)
         h = ser.to_hom_algebra(docs[0])
-        out(ser.doc_from_prelie(gengd_novikov(h, args.k,
+        out(ser.doc_from_bundle(gengd_novikov(h, args.k,
                                               ser.to_linear_map(docs[1]))))
     elif recipe == "mu-delta":
         need(1)
-        b, _ = ser.to_inf_bialgebra(docs[0])
+        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
         out(ser.doc_from_linear_map(mu_delta_map(b)))
     elif recipe == "bullet":
         need(1)
-        b, _ = ser.to_inf_bialgebra(docs[0])
-        out(ser.doc_from_prelie(infprelie_bullet(b)))
+        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
+        out(ser.doc_from_bundle(infprelie_bullet(b)))
     elif recipe == "delta-r":
         need(2)
         h = ser.to_hom_algebra(docs[0])
@@ -218,7 +220,7 @@ def _run_construct(args) -> int:
         if args.negate_r:
             r = -r
         delta = delta_r(h, r)
-        out(ser.doc_from_coalgebra(HomCoalgebra(delta, h.alpha)))
+        out(ser.doc_from_bundle(HomCoalgebra(delta, h.alpha)))
     else:  # pragma: no cover
         raise SystemExit2(f"unknown recipe {recipe!r}")
     return EXIT_PASS
@@ -238,7 +240,7 @@ def _run_search(args) -> int:
         spec = dataclasses.replace(spec, budget=args.budget)
     ambient_doc = doc.payload["ambient"]
     if ambient_doc.kind == "hom-lie":
-        ambient = ser.to_hom_lie(ambient_doc)
+        ambient = ser.to_bundle(ambient_doc, "hom-lie")
     else:
         ambient = ser.to_bihom_algebra(ambient_doc)
     for result in search(spec, ambient):
@@ -262,47 +264,64 @@ def _theorem_instances_from_files(tid: str, docs: list[ser.Document],
                                   args) -> list[tuple[dict, str]]:
     name = ",".join(args.files)
 
+    def need(*counts):
+        if len(docs) not in counts:
+            raise SystemExit2(f"theorem {tid!r} takes "
+                              f"{' or '.join(map(str, counts))} file(s)")
+
     def maps(*idx):
         return [ser.to_linear_map(docs[i]) for i in idx]
 
     if tid == "T1":
+        need(3)
         a = ser.to_bihom_algebra(docs[0])
         f, g = maps(1, 2)
         return [({"m": a.mu, "alpha": f, "beta": g}, name)]
     if tid == "T2":
-        return [({"d": ser.to_dendriform(docs[0])}, name)]
+        need(1)
+        return [({"d": ser.to_bundle(docs[0], "dendriform")}, name)]
     if tid in ("T3", "T5"):
+        need(4)
         a = ser.to_bihom_algebra(docs[0])
         s, t, r = maps(1, 2, 3)
         return [({"m": a.mu, "sigma": s, "tau": t, "R": r}, name)]
     if tid == "T4":
+        need(4)
         a = ser.to_bihom_algebra(docs[0])
         s, t, d = maps(1, 2, 3)
         return [({"m": a.mu, "sigma": s, "tau": t, "D": d}, name)]
     if tid == "T6":
+        need(3)
         a = ser.to_bihom_algebra(docs[0])
         s, r = maps(1, 2)
         return [({"m": a.mu, "sigma": s, "R": r}, name)]
     if tid == "T7":
+        need(4)
         a = ser.to_bihom_algebra(docs[0])
         s, t, r = maps(1, 2, 3)
         eta = ser.to_linear_map(_load(args.eta)) if args.eta else None
         return [({"a": a, "sigma": s, "tau": t, "eta": eta, "R": r}, name)]
     if tid == "T8":
-        return [({"l": ser.to_hom_lie(docs[0]), "n": args.n,
+        need(2)
+        return [({"l": ser.to_bundle(docs[0], "hom-lie"), "n": args.n,
                   "R": ser.to_linear_map(docs[1])}, name)]
     if tid == "T9":
+        need(2)
         return [({"a": ser.to_bihom_algebra(docs[0]),
                   "r": ser.to_tensor2(docs[1])}, name)]
     if tid == "T10":
-        b, _ = ser.to_inf_bialgebra(docs[0])
+        need(1)
+        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
         return [({"b": b}, name)]
     if tid == "T11":
-        b, _ = ser.to_inf_bialgebra(docs[0])
+        need(2)
+        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
         return [({"b": b, "alpha": ser.to_linear_map(docs[1])}, name)]
     if tid == "T12":
+        need(1, 2)
         if len(docs) == 1:
-            b, r = ser.to_inf_bialgebra(docs[0])
+            b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
+            r = docs[0].payload["r"]
             if r is None:
                 raise SystemExit2("T12 needs the Yang-Baxter element: pass an "
                                   "inf-hom-bialgebra with an \"r\" field, or "

@@ -6,6 +6,13 @@ of lists carrying a mandatory ``"convention"`` field (columns are images of
 basis vectors) to prevent silent transposition; structure-constant cubes
 are triple-nested lists indexed ``[i][j][k]``.
 
+The field table ``_FIELDS`` defines the format of every structure kind:
+after the leading ``dim``, its ordered ``(field, codec, optional)`` rows
+fix which fields a payload has, the order they are validated and emitted
+in, and how each is encoded.  Rota-Baxter and derivation kinds inside a
+search spec carry the fields of their dataclass, an ``int`` field being an
+exponent and every other field a matrix.
+
 ``parse`` validates strictly -- unknown fields, non-canonical scalars and
 dimension mismatches are rejected with a JSON-pointer style path --
 and ``serialize`` emits the canonical form (stable key order,
@@ -18,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .discovery import (
@@ -54,10 +61,6 @@ from .structures import (
 
 SCHEMA_VERSION = "1"
 CONVENTION = "columns-are-images"
-
-KINDS = ("algebra", "bihom-algebra", "hom-coalgebra", "inf-hom-bialgebra",
-         "dendriform", "hom-prelie", "hom-lie", "linear-map", "tensor2",
-         "search-spec", "report")
 
 _SCALAR_RE = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -110,10 +113,25 @@ def _parse_vector(value, dim: int, path: str) -> tuple[Fraction, ...]:
     return tuple(parse_scalar(v, f"{path}/{i}") for i, v in enumerate(value))
 
 
-def _parse_matrix(value, dim_out: int, dim_in: int, path: str, convention=True):
+def _vector_obj(vector) -> list:
+    return [format_scalar(x) for x in vector]
+
+
+def _parse_grid(value, dim: int, path: str) -> Tensor2:
+    grid = _expect(value, list, path, "a grid")
+    if len(grid) != dim:
+        raise DocumentError(path, f"expected {dim} rows, got {len(grid)}")
+    return Tensor2(tuple(_parse_vector(row, dim, f"{path}/{i}")
+                         for i, row in enumerate(grid)))
+
+
+def _grid_obj(rows) -> list:
+    return [_vector_obj(row) for row in rows]
+
+
+def _parse_matrix(value, dim_out: int, dim_in: int, path: str) -> LinearMap:
     _expect(value, dict, path, "a matrix object")
-    keys = {"convention", "entries"}
-    _reject_unknown(value, keys, path)
+    _reject_unknown(value, {"convention", "entries"}, path)
     if "convention" not in value:
         raise DocumentError(f"{path}/convention", "missing mandatory field")
     if value["convention"] != CONVENTION:
@@ -130,8 +148,7 @@ def _parse_matrix(value, dim_out: int, dim_in: int, path: str, convention=True):
 
 
 def _matrix_obj(m: LinearMap) -> dict:
-    return {"convention": CONVENTION,
-            "entries": [[format_scalar(x) for x in row] for row in m.entries]}
+    return {"convention": CONVENTION, "entries": _grid_obj(m.entries)}
 
 
 def _parse_cube(value, dim: int, path: str):
@@ -150,11 +167,7 @@ def _parse_cube(value, dim: int, path: str):
 
 
 def _cube_obj(cube) -> list:
-    return [[[format_scalar(x) for x in row] for row in plane] for plane in cube]
-
-
-def _grid_obj(grid) -> list:
-    return [[format_scalar(x) for x in row] for row in grid]
+    return [_grid_obj(plane) for plane in cube]
 
 
 def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
@@ -170,89 +183,63 @@ def _parse_dim(payload: dict, path: str) -> int:
     return dim
 
 
+def _parse_exponent(p: dict, field: str, path: str) -> int:
+    v = p.get(field)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise DocumentError(f"{path}/{field}", "must be a nonnegative integer")
+    return v
+
+
 # ---------------------------------------------------------------------------
-# Payload schemas
+# Structure kinds: one field table
 # ---------------------------------------------------------------------------
 
-def _parse_algebra(p: dict, path: str) -> dict:
-    _reject_unknown(p, {"dim", "mu", "unit"}, path)
-    dim = _parse_dim(p, path)
-    mu = BilinearOp(_parse_cube(p.get("mu"), dim, f"{path}/mu"))
-    unit = None
-    if "unit" in p:
-        unit = _parse_vector(p["unit"], dim, f"{path}/unit")
-    return {"mu": mu, "unit": unit}
+# A codec is (parse(value, dim, path), emit(value)) for one payload field.
+_PRODUCT = (lambda v, dim, path: BilinearOp(_parse_cube(v, dim, path)),
+            lambda op: _cube_obj(op.cube))
+_COPRODUCT = (lambda v, dim, path: Comultiplication(_parse_cube(v, dim, path)),
+              lambda op: _cube_obj(op.cube))
+_MATRIX = (lambda v, dim, path: _parse_matrix(v, dim, dim, path), _matrix_obj)
+_VECTOR = (_parse_vector, _vector_obj)
+_GRID = (_parse_grid, lambda t: _grid_obj(t.coeffs))
+
+# Payloads are "dim" followed by these fields, in this order.  An absent
+# optional field parses to None, and a None optional field is not emitted.
+_FIELDS = {
+    "algebra": (("mu", _PRODUCT, False), ("unit", _VECTOR, True)),
+    "bihom-algebra": (("mu", _PRODUCT, False), ("alpha", _MATRIX, False),
+                      ("beta", _MATRIX, False), ("unit", _VECTOR, True)),
+    "hom-coalgebra": (("delta", _COPRODUCT, False), ("alpha", _MATRIX, False)),
+    "inf-hom-bialgebra": (("mu", _PRODUCT, False), ("delta", _COPRODUCT, False),
+                          ("alpha", _MATRIX, False), ("r", _GRID, True)),
+    "dendriform": (("prec", _PRODUCT, False), ("succ", _PRODUCT, False),
+                   ("alpha", _MATRIX, False), ("beta", _MATRIX, False)),
+    "hom-prelie": (("mu", _PRODUCT, False), ("alpha", _MATRIX, False)),
+    "hom-lie": (("bracket", _PRODUCT, False), ("alpha", _MATRIX, False)),
+}
 
 
-def _parse_bihom(p: dict, path: str) -> dict:
-    _reject_unknown(p, {"dim", "mu", "alpha", "beta", "unit"}, path)
+def _parse_fields(kind: str, p: dict, path: str) -> dict:
+    table = _FIELDS[kind]
+    _reject_unknown(p, {"dim", *(name for name, _, _ in table)}, path)
     dim = _parse_dim(p, path)
-    out = {
-        "mu": BilinearOp(_parse_cube(p.get("mu"), dim, f"{path}/mu")),
-        "alpha": _parse_matrix(p.get("alpha"), dim, dim, f"{path}/alpha"),
-        "beta": _parse_matrix(p.get("beta"), dim, dim, f"{path}/beta"),
-        "unit": None,
-    }
-    if "unit" in p:
-        out["unit"] = _parse_vector(p["unit"], dim, f"{path}/unit")
+    return {name: None if optional and name not in p
+            else read(p.get(name), dim, f"{path}/{name}")
+            for name, (read, _), optional in table}
+
+
+def _emit_fields(kind: str, p: dict) -> dict:
+    table = _FIELDS[kind]
+    out = {"dim": p[table[0][0]].dim}
+    for name, (_, emit), optional in table:
+        if not optional or p.get(name) is not None:
+            out[name] = emit(p[name])
     return out
 
 
-def _parse_hom_coalgebra(p: dict, path: str) -> dict:
-    _reject_unknown(p, {"dim", "delta", "alpha"}, path)
-    dim = _parse_dim(p, path)
-    return {
-        "delta": Comultiplication(_parse_cube(p.get("delta"), dim, f"{path}/delta")),
-        "alpha": _parse_matrix(p.get("alpha"), dim, dim, f"{path}/alpha"),
-    }
-
-
-def _parse_inf_bialgebra(p: dict, path: str) -> dict:
-    _reject_unknown(p, {"dim", "mu", "delta", "alpha", "r"}, path)
-    dim = _parse_dim(p, path)
-    out = {
-        "mu": BilinearOp(_parse_cube(p.get("mu"), dim, f"{path}/mu")),
-        "delta": Comultiplication(_parse_cube(p.get("delta"), dim, f"{path}/delta")),
-        "alpha": _parse_matrix(p.get("alpha"), dim, dim, f"{path}/alpha"),
-        "r": None,
-    }
-    if "r" in p:
-        grid = _expect(p["r"], list, f"{path}/r", "a grid")
-        if len(grid) != dim:
-            raise DocumentError(f"{path}/r", f"expected {dim} rows, got {len(grid)}")
-        out["r"] = Tensor2(tuple(_parse_vector(row, dim, f"{path}/r/{i}")
-                                 for i, row in enumerate(grid)))
-    return out
-
-
-def _parse_dendriform(p: dict, path: str) -> dict:
-    _reject_unknown(p, {"dim", "prec", "succ", "alpha", "beta"}, path)
-    dim = _parse_dim(p, path)
-    return {
-        "prec": BilinearOp(_parse_cube(p.get("prec"), dim, f"{path}/prec")),
-        "succ": BilinearOp(_parse_cube(p.get("succ"), dim, f"{path}/succ")),
-        "alpha": _parse_matrix(p.get("alpha"), dim, dim, f"{path}/alpha"),
-        "beta": _parse_matrix(p.get("beta"), dim, dim, f"{path}/beta"),
-    }
-
-
-def _parse_hom_prelie(p: dict, path: str) -> dict:
-    _reject_unknown(p, {"dim", "mu", "alpha"}, path)
-    dim = _parse_dim(p, path)
-    return {
-        "mu": BilinearOp(_parse_cube(p.get("mu"), dim, f"{path}/mu")),
-        "alpha": _parse_matrix(p.get("alpha"), dim, dim, f"{path}/alpha"),
-    }
-
-
-def _parse_hom_lie(p: dict, path: str) -> dict:
-    _reject_unknown(p, {"dim", "bracket", "alpha"}, path)
-    dim = _parse_dim(p, path)
-    return {
-        "bracket": BilinearOp(_parse_cube(p.get("bracket"), dim, f"{path}/bracket")),
-        "alpha": _parse_matrix(p.get("alpha"), dim, dim, f"{path}/alpha"),
-    }
-
+# ---------------------------------------------------------------------------
+# Other payload schemas
+# ---------------------------------------------------------------------------
 
 def _parse_linear_map(p: dict, path: str) -> dict:
     _reject_unknown(p, {"dim_in", "dim_out", "convention", "entries"}, path)
@@ -269,69 +256,46 @@ def _parse_linear_map(p: dict, path: str) -> dict:
 def _parse_tensor2(p: dict, path: str) -> dict:
     _reject_unknown(p, {"dim", "coeffs"}, path)
     dim = _parse_dim(p, path)
-    grid = _expect(p.get("coeffs"), list, f"{path}/coeffs", "a grid")
-    if len(grid) != dim:
-        raise DocumentError(f"{path}/coeffs", f"expected {dim} rows, got {len(grid)}")
-    return {"tensor": Tensor2(tuple(_parse_vector(row, dim, f"{path}/coeffs/{i}")
-                                    for i, row in enumerate(grid)))}
+    return {"tensor": _parse_grid(p.get("coeffs"), dim, f"{path}/coeffs")}
 
 
-_RB_KIND_FIELDS = {
-    "paren": {"name", "sigma", "tau"},
-    "brace": {"name", "sigma", "tau"},
-    "alpha-power": {"name", "alpha", "n"},
-    "alpha-beta": {"name", "alpha", "beta"},
-    "lie-alpha-power": {"name", "alpha", "n"},
-}
-_DERIV_KIND_FIELDS = {
-    "tau-sigma": {"name", "tau", "sigma"},
-    "alpha-power": {"name", "alpha", "k"},
-}
+_RB_KINDS = {"paren": ParenRB, "brace": BraceRB, "alpha-power": AlphaPowerRB,
+             "alpha-beta": AlphaBetaRB, "lie-alpha-power": LieAlphaPowerRB}
+_DERIVATION_KINDS = {"tau-sigma": TauSigmaDerivation,
+                     "alpha-power": AlphaPowerDerivation}
+_KIND_NAMES = {cls: name for table in (_RB_KINDS, _DERIVATION_KINDS)
+               for name, cls in table.items()}
+
+_TARGETS = {"aybe": AybeTarget, "rb": RBTarget, "derivation": DerivationTarget,
+            "algebra-map-pair": AlgebraMapPairTarget}
+_TARGET_NAMES = {cls: name for name, cls in _TARGETS.items()}
+_TARGET_KINDS = {"rb": _RB_KINDS, "derivation": _DERIVATION_KINDS}
 
 
-def _parse_exponent(p: dict, field: str, path: str) -> int:
-    v = p.get(field)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise DocumentError(f"{path}/{field}", "must be a nonnegative integer")
-    return v
+def _is_exponent(field) -> bool:
+    return field.type in (int, "int")
 
 
-def _parse_rb_kind(p, dim: int, path: str):
+def _parse_kind(table: dict, p, dim: int, path: str):
     _expect(p, dict, path, "a kind object")
     name = p.get("name")
-    if name not in _RB_KIND_FIELDS:
+    if not isinstance(name, str) or name not in table:
         raise DocumentError(f"{path}/name",
                             f"unknown kind {name!r}; expected one of "
-                            f"{sorted(_RB_KIND_FIELDS)}")
-    _reject_unknown(p, _RB_KIND_FIELDS[name], path)
-    if name in ("paren", "brace"):
-        sigma = _parse_matrix(p.get("sigma"), dim, dim, f"{path}/sigma")
-        tau = _parse_matrix(p.get("tau"), dim, dim, f"{path}/tau")
-        return ParenRB(sigma, tau) if name == "paren" else BraceRB(sigma, tau)
-    alpha = _parse_matrix(p.get("alpha"), dim, dim, f"{path}/alpha")
-    if name == "alpha-power":
-        return AlphaPowerRB(alpha, _parse_exponent(p, "n", path))
-    if name == "lie-alpha-power":
-        return LieAlphaPowerRB(alpha, _parse_exponent(p, "n", path))
-    beta = _parse_matrix(p.get("beta"), dim, dim, f"{path}/beta")
-    return AlphaBetaRB(alpha, beta)
+                            f"{sorted(table)}")
+    cls = table[name]
+    _reject_unknown(p, {"name", *(f.name for f in fields(cls))}, path)
+    return cls(*(_parse_exponent(p, f.name, path) if _is_exponent(f)
+                 else _parse_matrix(p.get(f.name), dim, dim, f"{path}/{f.name}")
+                 for f in fields(cls)))
 
 
-def _parse_derivation_kind(p, dim: int, path: str):
-    _expect(p, dict, path, "a kind object")
-    name = p.get("name")
-    if name not in _DERIV_KIND_FIELDS:
-        raise DocumentError(f"{path}/name",
-                            f"unknown kind {name!r}; expected one of "
-                            f"{sorted(_DERIV_KIND_FIELDS)}")
-    _reject_unknown(p, _DERIV_KIND_FIELDS[name], path)
-    if name == "tau-sigma":
-        return TauSigmaDerivation(
-            _parse_matrix(p.get("tau"), dim, dim, f"{path}/tau"),
-            _parse_matrix(p.get("sigma"), dim, dim, f"{path}/sigma"))
-    return AlphaPowerDerivation(
-        _parse_matrix(p.get("alpha"), dim, dim, f"{path}/alpha"),
-        _parse_exponent(p, "k", path))
+def _kind_obj(kind) -> dict:
+    out = {"name": _KIND_NAMES[type(kind)]}
+    for f in fields(kind):
+        value = getattr(kind, f.name)
+        out[f.name] = value if _is_exponent(f) else _matrix_obj(value)
+    return out
 
 
 def _parse_search_spec(p: dict, path: str) -> dict:
@@ -341,32 +305,25 @@ def _parse_search_spec(p: dict, path: str) -> dict:
     if ambient.kind not in ("algebra", "bihom-algebra", "hom-lie"):
         raise DocumentError(f"{path}/ambient/kind",
                             "ambient must be an algebra, bihom-algebra or hom-lie")
-    dim = _ambient_dim(ambient)
-    target_obj = _expect(p.get("target"), dict, f"{path}/target", "a target object")
+    dim = ambient.payload[_FIELDS[ambient.kind][0][0]].dim
+    tpath = f"{path}/target"
+    target_obj = _expect(p.get("target"), dict, tpath, "a target object")
     ttype = target_obj.get("type")
-    if ttype == "aybe":
-        _reject_unknown(target_obj, {"type"}, f"{path}/target")
-        target = AybeTarget()
-    elif ttype == "rb":
-        _reject_unknown(target_obj, {"type", "kind", "commute_with"}, f"{path}/target")
-        kind = _parse_rb_kind(target_obj.get("kind"), dim, f"{path}/target/kind")
-        commute = ()
-        if "commute_with" in target_obj:
-            lst = _expect(target_obj["commute_with"], list,
-                          f"{path}/target/commute_with", "a list")
-            commute = tuple(_parse_matrix(m, dim, dim,
-                                          f"{path}/target/commute_with/{i}")
-                            for i, m in enumerate(lst))
-        target = RBTarget(kind, commute)
-    elif ttype == "derivation":
-        _reject_unknown(target_obj, {"type", "kind"}, f"{path}/target")
-        target = DerivationTarget(_parse_derivation_kind(
-            target_obj.get("kind"), dim, f"{path}/target/kind"))
-    elif ttype == "algebra-map-pair":
-        _reject_unknown(target_obj, {"type"}, f"{path}/target")
-        target = AlgebraMapPairTarget()
-    else:
-        raise DocumentError(f"{path}/target/type", f"unknown target {ttype!r}")
+    if not isinstance(ttype, str) or ttype not in _TARGETS:
+        raise DocumentError(f"{tpath}/type", f"unknown target {ttype!r}")
+    cls = _TARGETS[ttype]
+    _reject_unknown(target_obj, {"type", *(f.name for f in fields(cls))}, tpath)
+    targs = {}
+    if ttype in _TARGET_KINDS:
+        targs["kind"] = _parse_kind(_TARGET_KINDS[ttype], target_obj.get("kind"),
+                                    dim, f"{tpath}/kind")
+    if "commute_with" in target_obj:
+        lst = _expect(target_obj["commute_with"], list,
+                      f"{tpath}/commute_with", "a list")
+        targs["commute_with"] = tuple(
+            _parse_matrix(m, dim, dim, f"{tpath}/commute_with/{i}")
+            for i, m in enumerate(lst))
+    target = cls(**targs)
 
     coeff_list = _expect(p.get("coefficients"), list, f"{path}/coefficients",
                          "a list of scalars")
@@ -398,6 +355,9 @@ def _parse_search_spec(p: dict, path: str) -> dict:
         spec = SearchSpec(**kwargs)
     except ValueError as exc:
         raise DocumentError(path, str(exc)) from None
+    if ttype == "aybe" and ambient.kind == "hom-lie":
+        raise DocumentError(f"{tpath}/type", "target 'aybe' needs an algebra "
+                                             "or bihom-algebra ambient")
     return {"spec": spec, "ambient": ambient}
 
 
@@ -412,30 +372,13 @@ def _parse_report(p: dict, path: str) -> dict:
 
 
 _PARSERS = {
-    "algebra": _parse_algebra,
-    "bihom-algebra": _parse_bihom,
-    "hom-coalgebra": _parse_hom_coalgebra,
-    "inf-hom-bialgebra": _parse_inf_bialgebra,
-    "dendriform": _parse_dendriform,
-    "hom-prelie": _parse_hom_prelie,
-    "hom-lie": _parse_hom_lie,
     "linear-map": _parse_linear_map,
     "tensor2": _parse_tensor2,
     "search-spec": _parse_search_spec,
     "report": _parse_report,
 }
 
-
-def _ambient_dim(doc: Document) -> int:
-    if doc.kind in ("algebra", "bihom-algebra", "hom-prelie"):
-        return doc.payload["mu"].dim
-    if doc.kind == "hom-lie":
-        return doc.payload["bracket"].dim
-    if doc.kind in ("hom-coalgebra",):
-        return doc.payload["delta"].dim
-    if doc.kind == "inf-hom-bialgebra":
-        return doc.payload["mu"].dim
-    raise DocumentError("/", f"no dimension for kind {doc.kind!r}")
+KINDS = (*_FIELDS, *_PARSERS)
 
 
 def _parse_document(obj, path: str) -> Document:
@@ -448,6 +391,8 @@ def _parse_document(obj, path: str) -> Document:
     if kind not in KINDS:
         raise DocumentError(f"{path}/kind", f"unknown kind {kind!r}")
     payload = _expect(obj.get("payload"), dict, f"{path}/payload", "an object")
+    if kind in _FIELDS:
+        return Document(kind, _parse_fields(kind, payload, f"{path}/payload"))
     return Document(kind, _PARSERS[kind](payload, f"{path}/payload"))
 
 
@@ -459,7 +404,8 @@ def parse(text: str | bytes) -> Document:
             raise DocumentError("/", f"not UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides syntax errors: nesting too deep, integers too long
         raise DocumentError("/", f"malformed JSON: {exc}") from None
     return _parse_document(obj, "")
 
@@ -475,42 +421,12 @@ def load_path(path: str) -> Document:
 
 def _payload_obj(doc: Document) -> dict:
     kind, p = doc.kind, doc.payload
-    if kind == "algebra":
-        out = {"dim": p["mu"].dim, "mu": _cube_obj(p["mu"].cube)}
-        if p.get("unit") is not None:
-            out["unit"] = [format_scalar(x) for x in p["unit"]]
-        return out
-    if kind == "bihom-algebra":
-        out = {"dim": p["mu"].dim, "mu": _cube_obj(p["mu"].cube),
-               "alpha": _matrix_obj(p["alpha"]), "beta": _matrix_obj(p["beta"])}
-        if p.get("unit") is not None:
-            out["unit"] = [format_scalar(x) for x in p["unit"]]
-        return out
-    if kind == "hom-coalgebra":
-        return {"dim": p["delta"].dim, "delta": _cube_obj(p["delta"].cube),
-                "alpha": _matrix_obj(p["alpha"])}
-    if kind == "inf-hom-bialgebra":
-        out = {"dim": p["mu"].dim, "mu": _cube_obj(p["mu"].cube),
-               "delta": _cube_obj(p["delta"].cube),
-               "alpha": _matrix_obj(p["alpha"])}
-        if p.get("r") is not None:
-            out["r"] = _grid_obj(p["r"].coeffs)
-        return out
-    if kind == "dendriform":
-        return {"dim": p["prec"].dim, "prec": _cube_obj(p["prec"].cube),
-                "succ": _cube_obj(p["succ"].cube),
-                "alpha": _matrix_obj(p["alpha"]), "beta": _matrix_obj(p["beta"])}
-    if kind == "hom-prelie":
-        return {"dim": p["mu"].dim, "mu": _cube_obj(p["mu"].cube),
-                "alpha": _matrix_obj(p["alpha"])}
-    if kind == "hom-lie":
-        return {"dim": p["bracket"].dim, "bracket": _cube_obj(p["bracket"].cube),
-                "alpha": _matrix_obj(p["alpha"])}
+    if kind in _FIELDS:
+        return _emit_fields(kind, p)
     if kind == "linear-map":
         m: LinearMap = p["map"]
         return {"dim_in": m.dim_in, "dim_out": m.dim_out,
-                "convention": CONVENTION,
-                "entries": [[format_scalar(x) for x in row] for row in m.entries]}
+                "convention": CONVENTION, "entries": _grid_obj(m.entries)}
     if kind == "tensor2":
         t: Tensor2 = p["tensor"]
         return {"dim": t.dim, "coeffs": _grid_obj(t.coeffs)}
@@ -521,51 +437,15 @@ def _payload_obj(doc: Document) -> dict:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _rb_kind_obj(kind) -> dict:
-    if isinstance(kind, ParenRB):
-        return {"name": "paren", "sigma": _matrix_obj(kind.sigma),
-                "tau": _matrix_obj(kind.tau)}
-    if isinstance(kind, BraceRB):
-        return {"name": "brace", "sigma": _matrix_obj(kind.sigma),
-                "tau": _matrix_obj(kind.tau)}
-    if isinstance(kind, AlphaPowerRB):
-        return {"name": "alpha-power", "alpha": _matrix_obj(kind.alpha),
-                "n": kind.n}
-    if isinstance(kind, LieAlphaPowerRB):
-        return {"name": "lie-alpha-power", "alpha": _matrix_obj(kind.alpha),
-                "n": kind.n}
-    if isinstance(kind, AlphaBetaRB):
-        return {"name": "alpha-beta", "alpha": _matrix_obj(kind.alpha),
-                "beta": _matrix_obj(kind.beta)}
-    raise ValueError(f"unknown RB kind {kind!r}")
-
-
-def _derivation_kind_obj(kind) -> dict:
-    if isinstance(kind, TauSigmaDerivation):
-        return {"name": "tau-sigma", "tau": _matrix_obj(kind.tau),
-                "sigma": _matrix_obj(kind.sigma)}
-    if isinstance(kind, AlphaPowerDerivation):
-        return {"name": "alpha-power", "alpha": _matrix_obj(kind.alpha),
-                "k": kind.k}
-    raise ValueError(f"unknown derivation kind {kind!r}")
-
-
 def _search_spec_obj(spec: SearchSpec, ambient: Document) -> dict:
     target = spec.target
-    if isinstance(target, AybeTarget):
-        tobj = {"type": "aybe"}
-    elif isinstance(target, RBTarget):
-        tobj = {"type": "rb", "kind": _rb_kind_obj(target.kind)}
-        if target.commute_with:
-            tobj["commute_with"] = [_matrix_obj(m) for m in target.commute_with]
-    elif isinstance(target, DerivationTarget):
-        tobj = {"type": "derivation", "kind": _derivation_kind_obj(target.kind)}
-    elif isinstance(target, AlgebraMapPairTarget):
-        tobj = {"type": "algebra-map-pair"}
-    else:
-        raise ValueError(f"unknown target {target!r}")
+    tobj = {"type": _TARGET_NAMES[type(target)]}
+    if tobj["type"] in _TARGET_KINDS:
+        tobj["kind"] = _kind_obj(target.kind)
+    if getattr(target, "commute_with", ()):
+        tobj["commute_with"] = [_matrix_obj(m) for m in target.commute_with]
     out = {"ambient": _document_obj(ambient), "target": tobj,
-           "coefficients": [format_scalar(c) for c in spec.coefficients],
+           "coefficients": _vector_obj(spec.coefficients),
            "dim_cap": spec.dim_cap}
     if spec.support is not None:
         out["support"] = [list(pair) for pair in spec.support]
@@ -595,33 +475,37 @@ def dump_path(doc: Document, path: str) -> None:
 # Builders and converters between documents and bundles
 # ---------------------------------------------------------------------------
 
+_BUNDLES = {"hom-coalgebra": HomCoalgebra, "inf-hom-bialgebra": InfHomBialgebra,
+            "dendriform": BiHomDendriform, "hom-prelie": HomPreLie,
+            "hom-lie": HomLie}
+_BUNDLE_KINDS = {cls: kind for kind, cls in _BUNDLES.items()}
+
+
+def doc_from_bundle(bundle, r: Tensor2 | None = None) -> Document:
+    """The document of a Hom-coalgebra, dendriform, Hom-pre-Lie or Hom-Lie
+    bundle, or of an infinitesimal Hom-bialgebra with its optional
+    Yang-Baxter element ``r``."""
+    kind = _BUNDLE_KINDS[type(bundle)]
+    payload = {f.name: getattr(bundle, f.name) for f in fields(bundle)}
+    if kind == "inf-hom-bialgebra":
+        payload["r"] = r
+    return Document(kind, payload)
+
+
+def to_bundle(doc: Document, kind: str):
+    """The bundle of a ``kind`` document (one of the kinds ``doc_from_bundle``
+    emits).  An inf-hom-bialgebra's ``r`` stays in ``doc.payload["r"]``."""
+    if doc.kind != kind:
+        raise DocumentError("/kind", f"expected {kind}, got {doc.kind!r}")
+    cls = _BUNDLES[kind]
+    return cls(*(doc.payload[f.name] for f in fields(cls)))
+
+
 def doc_from_bihom(a: BiHomAlgebra) -> Document:
     if a.alpha.is_identity() and a.beta.is_identity():
         return Document("algebra", {"mu": a.mu, "unit": a.unit})
     return Document("bihom-algebra", {"mu": a.mu, "alpha": a.alpha,
                                       "beta": a.beta, "unit": a.unit})
-
-
-def doc_from_inf_bialgebra(b: InfHomBialgebra, r: Tensor2 | None = None) -> Document:
-    return Document("inf-hom-bialgebra",
-                    {"mu": b.mu, "delta": b.delta, "alpha": b.alpha, "r": r})
-
-
-def doc_from_coalgebra(c: HomCoalgebra) -> Document:
-    return Document("hom-coalgebra", {"delta": c.delta, "alpha": c.alpha})
-
-
-def doc_from_dendriform(d: BiHomDendriform) -> Document:
-    return Document("dendriform", {"prec": d.prec, "succ": d.succ,
-                                   "alpha": d.alpha, "beta": d.beta})
-
-
-def doc_from_prelie(p: HomPreLie) -> Document:
-    return Document("hom-prelie", {"mu": p.mu, "alpha": p.alpha})
-
-
-def doc_from_hom_lie(l: HomLie) -> Document:
-    return Document("hom-lie", {"bracket": l.bracket, "alpha": l.alpha})
 
 
 def doc_from_linear_map(m: LinearMap) -> Document:
@@ -655,38 +539,6 @@ def to_hom_algebra(doc: Document) -> HomAlgebra:
     return HomAlgebra(a.mu, a.alpha)
 
 
-def to_inf_bialgebra(doc: Document) -> tuple[InfHomBialgebra, Tensor2 | None]:
-    if doc.kind != "inf-hom-bialgebra":
-        raise DocumentError("/kind", f"expected inf-hom-bialgebra, got {doc.kind!r}")
-    p = doc.payload
-    return InfHomBialgebra(p["mu"], p["delta"], p["alpha"]), p.get("r")
-
-
-def to_hom_coalgebra(doc: Document) -> HomCoalgebra:
-    if doc.kind != "hom-coalgebra":
-        raise DocumentError("/kind", f"expected hom-coalgebra, got {doc.kind!r}")
-    return HomCoalgebra(doc.payload["delta"], doc.payload["alpha"])
-
-
-def to_dendriform(doc: Document) -> BiHomDendriform:
-    if doc.kind != "dendriform":
-        raise DocumentError("/kind", f"expected dendriform, got {doc.kind!r}")
-    p = doc.payload
-    return BiHomDendriform(p["prec"], p["succ"], p["alpha"], p["beta"])
-
-
-def to_hom_prelie(doc: Document) -> HomPreLie:
-    if doc.kind != "hom-prelie":
-        raise DocumentError("/kind", f"expected hom-prelie, got {doc.kind!r}")
-    return HomPreLie(doc.payload["mu"], doc.payload["alpha"])
-
-
-def to_hom_lie(doc: Document) -> HomLie:
-    if doc.kind != "hom-lie":
-        raise DocumentError("/kind", f"expected hom-lie, got {doc.kind!r}")
-    return HomLie(doc.payload["bracket"], doc.payload["alpha"])
-
-
 def to_linear_map(doc: Document) -> LinearMap:
     if doc.kind != "linear-map":
         raise DocumentError("/kind", f"expected linear-map, got {doc.kind!r}")
@@ -708,8 +560,7 @@ def witness_obj(verdict: CheckVerdict) -> dict | None:
         return None
     w = verdict.witness
     return {"indices": list(w.indices),
-            "lhs": [format_scalar(x) for x in w.lhs],
-            "rhs": [format_scalar(x) for x in w.rhs]}
+            "lhs": _vector_obj(w.lhs), "rhs": _vector_obj(w.rhs)}
 
 
 def doc_check_report(law: str, verdict: CheckVerdict) -> Document:
@@ -738,7 +589,7 @@ def catalogue_document(entry) -> Document:
     if entry.kind == "algebra":
         return doc_from_bihom(entry.structure)
     if entry.kind == "inf-bialgebra":
-        return doc_from_inf_bialgebra(entry.structure, entry.r)
+        return doc_from_bundle(entry.structure, entry.r)
     if entry.kind == "map":
         return doc_from_linear_map(entry.structure)
     raise ValueError(f"cannot serialize catalogue entry kind {entry.kind!r}")

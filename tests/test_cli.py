@@ -56,6 +56,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", "aybe", export("m2"))
         assert code == 2 and "error" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, out, err = run(capsys, "check", "bihom-assoc", str(deep))
+        assert code == 2 and out == ""
+        assert err.startswith("document error: /: ")
+
     def test_dimension_mismatch_exits_2(self, capsys, export, tmp_path):
         from bihomcheck.exactlin import Tensor2
         from bihomcheck.serialize import doc_from_tensor2
@@ -156,6 +163,22 @@ class TestSearch:
         assert len(lines) == 7
         assert all(doc["kind"] == "tensor2" for doc in lines)
 
+    def test_aybe_on_hom_lie_exits_2(self, capsys, tmp_path):
+        spec_path = self.write_spec(tmp_path)
+        spec = json.loads(spec_path.read_text())
+        # the two-dimensional Lie algebra [e0, e1] = e1
+        spec["payload"]["ambient"] = {
+            "schema_version": "1", "kind": "hom-lie",
+            "payload": {"dim": 2,
+                        "bracket": [[["0", "0"], ["0", "1"]],
+                                    [["0", "-1"], ["0", "0"]]],
+                        "alpha": {"convention": "columns-are-images",
+                                  "entries": [["1", "0"], ["0", "1"]]}}}
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "search", str(spec_path))
+        assert code == 2 and out == ""
+        assert err.startswith("document error: /payload/target/type: ")
+
     def test_removed_kernel_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BIHOMCHECK_KERNEL", "numba")
         spec_path = self.write_spec(tmp_path)
@@ -165,6 +188,15 @@ class TestSearch:
 
 
 class TestVerifyTheorem:
+    @pytest.mark.parametrize("tid, entries", [
+        ("T1", ["dx2"]), ("T11", ["m2-qt"]), ("T10", ["m2-qt", "m2-qt"]),
+        ("T12", ["m2", "m2", "m2"])])
+    def test_wrong_file_count(self, capsys, export, tid, entries):
+        files = [export(e, f"{e}-{i}") for i, e in enumerate(entries)]
+        code, out, err = run(capsys, "verify-theorem", tid, *files)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: theorem '{tid}' takes ")
+
     def test_t12_single_file(self, capsys, export):
         code, out, _ = run(capsys, "verify-theorem", "T12", export("m2-qt"))
         assert code == 0
