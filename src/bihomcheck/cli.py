@@ -12,7 +12,8 @@ Subcommands:
 * ``catalogue [list | export <id> -o OUT]`` -- access the built-in examples.
 
 Exit codes: 0 success / all passed, 1 a check or conclusion failed,
-2 usage, document or input errors, 3 a construction hypothesis failed.
+2 usage, document or input errors, 3 a construction hypothesis failed,
+4 an internal error (two computations that must agree differ: a bug).
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str) -> ser.Document:
@@ -462,7 +464,10 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, InvalidParameterError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (SearchSpaceTooLargeError, InternalInconsistencyError) as exc:
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except SearchSpaceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

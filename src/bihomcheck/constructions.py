@@ -10,7 +10,6 @@ bullet product) both are computed and asserted equal.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .exactlin import (
     BilinearOp,
@@ -24,7 +23,9 @@ from .exactlin import (
     compose,
     is_algebra_map,
     maps_commute,
+    nonzero_entries,
     power,
+    tensor_sum,
     vec_add,
     vec_sub,
 )
@@ -63,8 +64,8 @@ class PreconditionError(ValueError):
 
 
 class InternalInconsistencyError(RuntimeError):
-    """Two closed forms that must agree by theorem came out different;
-    signals a bug or a violated hypothesis."""
+    """Two computations that must agree (two closed forms, or the search
+    prefilter and the exact certifier) differ: a bug or a violated hypothesis."""
 
 
 def _require(verdict_or_bool, hypothesis: str) -> None:
@@ -79,14 +80,9 @@ def _require(verdict_or_bool, hypothesis: str) -> None:
 
 def _twisted_product(mu: BilinearOp, f: LinearMap, g: LinearMap) -> BilinearOp:
     """mu o (f (x) g) as a structure-constant cube."""
-    d = mu.dim
-    cube = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            plane.append(mu.apply(f.column(i), g.column(j)))
-        cube.append(tuple(plane))
-    return BilinearOp(tuple(cube))
+    g_cols = list(zip(*g.entries))
+    return BilinearOp(tuple(tuple(mu.apply(u, v) for v in g_cols)
+                            for u in zip(*f.entries)))
 
 
 def _post_product(f: LinearMap, mu: BilinearOp) -> BilinearOp:
@@ -178,15 +174,10 @@ def dendriform_from_paren_rb(m: BilinearOp, sigma: LinearMap, tau: LinearMap,
     _require(is_algebra_map(sigma, m), "sigma-algebra-map")
     _require(is_algebra_map(tau, m), "tau-algebra-map")
     _require(check_rota_baxter(R, m, ParenRB(sigma, tau)), "paren-rota-baxter")
-    n = m.dim
-    tR = compose(tau, R)
-    sR = compose(sigma, R)
-    prec = tuple(tuple(m.apply(basis_vector(n, i), tR.column(j))
-                       for j in range(n)) for i in range(n))
-    succ = tuple(tuple(m.apply(sR.column(i), basis_vector(n, j))
-                       for j in range(n)) for i in range(n))
-    ident = LinearMap.identity(n)
-    return BiHomDendriform(BilinearOp(prec), BilinearOp(succ), ident, ident)
+    ident = LinearMap.identity(m.dim)
+    prec = _twisted_product(m, ident, compose(tau, R))
+    succ = _twisted_product(m, compose(sigma, R), ident)
+    return BiHomDendriform(prec, succ, ident, ident)
 
 
 def simprop_dendriform(a: BiHomAlgebra, sigma: LinearMap, tau: LinearMap,
@@ -211,13 +202,9 @@ def simprop_dendriform(a: BiHomAlgebra, sigma: LinearMap, tau: LinearMap,
              ("tau", tau), ("eta", eta), ("R", R)]
     for (name1, f), (name2, g) in itertools.combinations(named, 2):
         _require(maps_commute(f, g), f"commute({name1},{name2})")
-    Reta = compose(R, eta)
     taueta = compose(tau, eta)
-    prec = tuple(tuple(a.mu.apply(sigma.column(i), Reta.column(j))
-                       for j in range(n)) for i in range(n))
-    succ = tuple(tuple(a.mu.apply(R.column(i), taueta.column(j))
-                       for j in range(n)) for i in range(n))
-    return BiHomDendriform(BilinearOp(prec), BilinearOp(succ),
+    return BiHomDendriform(_twisted_product(a.mu, sigma, compose(R, eta)),
+                           _twisted_product(a.mu, R, taueta),
                            compose(a.alpha, sigma),
                            compose(a.beta, taueta))
 
@@ -242,11 +229,8 @@ def analoglie_prelie(l: HomLie, n: int, R: LinearMap) -> HomPreLie:
     _require(check_hom_lie(l), "hom-lie")
     _require(check_rota_baxter(R, l.bracket, LieAlphaPowerRB(l.alpha, n)),
              "lie-rota-baxter")
-    an = power(l.alpha, n)
-    d = l.dim
-    cube = tuple(tuple(l.bracket.apply(R.column(i), an.column(j))
-                       for j in range(d)) for i in range(d))
-    return HomPreLie(BilinearOp(cube), power(l.alpha, n + 1))
+    return HomPreLie(_twisted_product(l.bracket, R, power(l.alpha, n)),
+                     power(l.alpha, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,52 +251,20 @@ def aybe_residue(a: BiHomAlgebra, r: Tensor2) -> Tensor3:
     """
     if r.dim != a.dim:
         raise ShapeError("r does not live on the algebra")
-    d = a.dim
-    mu, al, be = a.mu, a.alpha, a.beta
-    t12_23 = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    t13_12 = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    t23_13 = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    pairs = [(p, q, r.coeffs[p][q]) for p in range(d) for q in range(d)
-             if r.coeffs[p][q]]
-    for p, q, cpq in pairs:
-        for s, t, cst in pairs:
+    mu = a.mu
+    al_cols, be_cols = list(zip(*a.alpha.entries)), list(zip(*a.beta.entries))
+    pairs = nonzero_entries(r.coeffs)
+    terms = []
+    for p, q, cpq in pairs:                     # x_i (x) y_i = e_p (x) e_q
+        for s, t, cst in pairs:                 # x_j (x) y_j = e_s (x) e_t
             c = cpq * cst
-            mid = mu.basis_product(q, s)        # y_i x_j
-            for u in range(d):
-                au = al.entries[u][p]           # alpha(x_i)
-                if not au:
-                    continue
-                for v in range(d):
-                    if mid[v]:
-                        for w in range(d):
-                            bw = be.entries[w][t]   # beta(y_j)
-                            if bw:
-                                t12_23[u][v][w] += c * au * mid[v] * bw
-            head = mu.basis_product(p, s)       # x_i x_j
-            for u in range(d):
-                if not head[u]:
-                    continue
-                for v in range(d):
-                    bv = be.entries[v][t]       # beta(y_j)
-                    if not bv:
-                        continue
-                    for w in range(d):
-                        bw = be.entries[w][q]   # beta(y_i)
-                        if bw:
-                            t13_12[u][v][w] += c * head[u] * bv * bw
-            tail = mu.basis_product(t, q)       # y_j y_i
-            for u in range(d):
-                au = al.entries[u][p]           # alpha(x_i)
-                if not au:
-                    continue
-                for v in range(d):
-                    av = al.entries[v][s]       # alpha(x_j)
-                    if not av:
-                        continue
-                    for w in range(d):
-                        if tail[w]:
-                            t23_13[u][v][w] += c * au * av * tail[w]
-    return Tensor3(t13_12) - Tensor3(t12_23) + Tensor3(t23_13)
+            # t13_12: x_i x_j (x) beta(y_j) (x) beta(y_i)
+            terms.append((c, mu.basis_product(p, s), be_cols[t], be_cols[q]))
+            # -t12_23: alpha(x_i) (x) y_i x_j (x) beta(y_j)
+            terms.append((-c, al_cols[p], mu.basis_product(q, s), be_cols[t]))
+            # t23_13: alpha(x_i) (x) alpha(x_j) (x) y_j y_i
+            terms.append((c, al_cols[p], al_cols[s], mu.basis_product(t, q)))
+    return Tensor3(tensor_sum(a.dim, 3, terms))
 
 
 def abrb_operator(a: BiHomAlgebra, r: Tensor2) -> LinearMap:
@@ -333,24 +285,22 @@ def abrb_operator(a: BiHomAlgebra, r: Tensor2) -> LinearMap:
     _require(check_aybe(a, r), "yang-baxter-solution")
     d = a.dim
     mu, al, be = a.mu, a.alpha, a.beta
-    ab3 = compose(al, power(be, 3))
     b3 = power(be, 3)
     a3 = power(al, 3)
-    a3b = compose(a3, be)
-    pairs = [(p, q, r.coeffs[p][q]) for p in range(d) for q in range(d)
-             if r.coeffs[p][q]]
-    cols1, cols2 = [], []
-    for j in range(d):
-        e = basis_vector(d, j)
-        v1 = (Fraction(0),) * d
-        v2 = (Fraction(0),) * d
-        for p, q, c in pairs:
-            t1 = mu.apply(ab3.column(p), mu.apply(e, a3.column(q)))
-            v1 = vec_add(v1, tuple(c * x for x in t1))
-            t2 = mu.apply(mu.apply(b3.column(p), e), a3b.column(q))
-            v2 = vec_add(v2, tuple(c * x for x in t2))
-        cols1.append(v1)
-        cols2.append(v2)
+    ab3_cols = list(zip(*compose(al, b3).entries))
+    b3_cols = list(zip(*b3.entries))
+    a3_cols = list(zip(*a3.entries))
+    a3b_cols = list(zip(*compose(a3, be).entries))
+    pairs = nonzero_entries(r.coeffs)
+    basis = [basis_vector(d, j) for j in range(d)]
+    # R(v) = sum alpha beta^3(x_i) (v alpha^3(y_i)), for v = e_j
+    cols1 = [tensor_sum(d, 1, [
+        (c, mu.apply(ab3_cols[p], mu.apply(v, a3_cols[q])))
+        for p, q, c in pairs]) for v in basis]
+    # R(v) = sum (beta^3(x_i) v) alpha^3 beta(y_i)
+    cols2 = [tensor_sum(d, 1, [
+        (c, mu.apply(mu.apply(b3_cols[p], v), a3b_cols[q]))
+        for p, q, c in pairs]) for v in basis]
     if cols1 != cols2:
         raise InternalInconsistencyError(
             "the two closed forms of the induced operator differ")
@@ -367,28 +317,15 @@ def delta_r(h: HomAlgebra, r: Tensor2) -> Comultiplication:
     from .structures import check_aybe
 
     _require(check_aybe(h.as_bihom(), r), "yang-baxter-solution")
-    d = h.dim
-    mu, al = h.mu, h.alpha
-    cube = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    pairs = [(p, q, r.coeffs[p][q]) for p in range(d) for q in range(d)
-             if r.coeffs[p][q]]
-    for m in range(d):
-        for p, q, c in pairs:
-            tail = mu.basis_product(q, m)       # y_i b
-            for j in range(d):
-                ap = al.entries[j][p]
-                if ap:
-                    for k in range(d):
-                        if tail[k]:
-                            cube[m][j][k] += c * ap * tail[k]
-            head = mu.basis_product(m, p)       # b x_i
-            for j in range(d):
-                if head[j]:
-                    for k in range(d):
-                        aq = al.entries[k][q]
-                        if aq:
-                            cube[m][j][k] -= c * head[j] * aq
-    return Comultiplication(cube)
+    mu = h.mu
+    al_cols = list(zip(*h.alpha.entries))
+    pairs = nonzero_entries(r.coeffs)           # x_i (x) y_i = e_p (x) e_q
+    return Comultiplication([tensor_sum(h.dim, 2, [
+        # alpha(x_i) (x) y_i b, for b = e_m
+        *((c, al_cols[p], mu.basis_product(q, m)) for p, q, c in pairs),
+        # -b x_i (x) alpha(y_i)
+        *((-c, mu.basis_product(m, p), al_cols[q]) for p, q, c in pairs),
+    ]) for m in range(h.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +339,18 @@ def gengd_novikov(h: HomAlgebra, k: int, D: LinearMap) -> HomPreLie:
     _require(is_commutative(h.mu), "mu-commutative")
     _require(check_derivation(D, h.mu, AlphaPowerDerivation(h.alpha, k)),
              "alpha-power-derivation")
-    ak = power(h.alpha, k)
-    d = h.dim
-    cube = tuple(tuple(h.mu.apply(ak.column(i), D.column(j))
-                       for j in range(d)) for i in range(d))
-    return HomPreLie(BilinearOp(cube), power(h.alpha, k + 1))
+    return HomPreLie(_twisted_product(h.mu, power(h.alpha, k), D),
+                     power(h.alpha, k + 1))
 
 
 def mu_delta_map(b: InfHomBialgebra) -> LinearMap:
     """D = mu o Delta, the contraction of the coproduct."""
     _require(check_inf_hom_bialgebra(b), "inf-hom-bialgebra")
-    d = b.dim
-    cols = []
-    for i in range(d):
-        v = (Fraction(0),) * d
-        for j in range(d):
-            for k in range(d):
-                c = b.delta.cube[i][j][k]
-                if c:
-                    v = vec_add(v, tuple(c * x for x in b.mu.basis_product(j, k)))
-        cols.append(v)
-    return LinearMap.from_columns(cols)
+    return LinearMap.from_columns([tensor_sum(b.dim, 1, [
+        # Delta[i][j][k] e_j e_k
+        (c, b.mu.basis_product(j, k))
+        for j, k, c in nonzero_entries(image)])
+        for image in b.delta.cube])
 
 
 def infprelie_bullet(b: InfHomBialgebra) -> HomPreLie:
@@ -430,31 +358,23 @@ def infprelie_bullet(b: InfHomBialgebra) -> HomPreLie:
     structure map alpha^3.  Both splittings are computed and must agree."""
     _require(check_inf_hom_bialgebra(b), "inf-hom-bialgebra")
     d = b.dim
-    mu, delta, al = b.mu, b.delta, b.alpha
-    cube1 = [[None] * d for _ in range(d)]
-    cube2 = [[None] * d for _ in range(d)]
-    for i in range(d):
-        axi = al.column(i)
-        for j in range(d):
-            v1 = (Fraction(0),) * d
-            v2 = (Fraction(0),) * d
-            for p in range(d):
-                for q in range(d):
-                    c = delta.cube[j][p][q]
-                    if not c:
-                        continue
-                    eq = basis_vector(d, q)
-                    t1 = mu.apply(al.column(p), mu.apply(axi, eq))
-                    v1 = vec_add(v1, tuple(c * x for x in t1))
-                    t2 = mu.apply(mu.apply(basis_vector(d, p), axi), al.column(q))
-                    v2 = vec_add(v2, tuple(c * x for x in t2))
-            cube1[i][j] = v1
-            cube2[i][j] = v2
+    mu, al = b.mu, b.alpha
+    al_cols = list(zip(*al.entries))
+    basis = [basis_vector(d, j) for j in range(d)]
+    images = [nonzero_entries(image) for image in b.delta.cube]
+    # x . y = sum alpha(y_1) (alpha(x) y_2), for x = e_i, y = e_j and
+    # Delta(e_j) = sum Delta[j][p][q] e_p (x) e_q
+    cube1 = [[tensor_sum(d, 1, [
+        (c, mu.apply(al_cols[p], mu.apply(ax, basis[q])))
+        for p, q, c in images[j]]) for j in range(d)] for ax in al_cols]
+    # x . y = sum (y_1 alpha(x)) alpha(y_2)
+    cube2 = [[tensor_sum(d, 1, [
+        (c, mu.apply(mu.apply(basis[p], ax), al_cols[q]))
+        for p, q, c in images[j]]) for j in range(d)] for ax in al_cols]
     if cube1 != cube2:
         raise InternalInconsistencyError(
             "the two closed forms of the bullet product differ")
-    return HomPreLie(BilinearOp(tuple(tuple(row) for row in cube1)),
-                     power(al, 3))
+    return HomPreLie(BilinearOp(cube1), power(al, 3))
 
 
 def aguiar_bullet(b: InfHomBialgebra) -> HomPreLie:

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
+from .constructions import InternalInconsistencyError
 from .exactlin import (
     BilinearOp,
     Comultiplication,
@@ -240,7 +241,7 @@ def search(spec: SearchSpec, ambient, backend: str | None = None) -> list:
         assignment = _assignment_from_index(idx, spec.coefficients, n_slots)
         obj = _decode(spec, dim, slots, assignment)
         if not certify(obj):
-            raise RuntimeError(
+            raise InternalInconsistencyError(
                 "fast path accepted a candidate the exact checker rejects; "
                 "this is a kernel bug")
         results.append(obj)

@@ -252,23 +252,6 @@ class Tensor3:
     def dim(self) -> int:
         return len(self.coeffs)
 
-    @staticmethod
-    def zero(dim: int) -> Tensor3:
-        z = zero_vector(dim)
-        return Tensor3(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
-
-    def __add__(self, other: Tensor3) -> Tensor3:
-        if self.dim != other.dim:
-            raise ShapeError("Tensor3 dims differ")
-        return Tensor3(tuple(tuple(vec_add(a, b) for a, b in zip(p, q))
-                             for p, q in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: Tensor3) -> Tensor3:
-        if self.dim != other.dim:
-            raise ShapeError("Tensor3 dims differ")
-        return Tensor3(tuple(tuple(vec_sub(a, b) for a, b in zip(p, q))
-                             for p, q in zip(self.coeffs, other.coeffs)))
-
     def is_zero(self) -> bool:
         return all(not c for plane in self.coeffs for row in plane for c in row)
 
@@ -417,26 +400,68 @@ def apply_bilinear(m: BilinearOp, u: Vector, v: Vector) -> Vector:
     return m.apply(u, v)
 
 
+def nonzero_entries(grid: Sequence[Sequence]) -> list[tuple[int, int, Fraction]]:
+    """The ``(p, q, grid[p][q])`` triples with a nonzero entry, row by row."""
+    return [(p, q, c) for p, row in enumerate(grid)
+            for q, c in enumerate(row) if c]
+
+
+def tensor_sum(dim: int, rank: int, terms: Iterable[tuple]) -> list:
+    """Exact sum of ``c * v_1 (x) ... (x) v_rank`` over ``(c, v_1, ..., v_rank)``.
+
+    The result is a vector, grid or cube (rank 1, 2 or 3) of ``dim``-long
+    nested lists seeded with ``Fraction(0)``.  Zero coefficients and zero
+    coordinates are skipped.  Each rank has its own loop: a rank-generic
+    recursion is measurably slower on the checkers' hot paths.
+    """
+    terms = [t for t in terms if t[0]]
+    if rank == 1:
+        out = [Fraction(0)] * dim
+        for c, u in terms:
+            for a, x in enumerate(u):
+                if x:
+                    out[a] += c * x
+        return out
+    if rank == 2:
+        out = [[Fraction(0)] * dim for _ in range(dim)]
+        for c, u, v in terms:
+            for a, x in enumerate(u):
+                if not x:
+                    continue
+                cx, row = c * x, out[a]
+                for b, y in enumerate(v):
+                    if y:
+                        row[b] += cx * y
+        return out
+    if rank == 3:
+        out = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for c, u, v, w in terms:
+            for a, x in enumerate(u):
+                if not x:
+                    continue
+                cx, plane = c * x, out[a]
+                for b, y in enumerate(v):
+                    if not y:
+                        continue
+                    cxy, row = cx * y, plane[b]
+                    for k, z in enumerate(w):
+                        if z:
+                            row[k] += cxy * z
+        return out
+    raise ValueError(f"tensor rank must be 1, 2 or 3, got {rank}")
+
+
 def map_tensor2(f: LinearMap, g: LinearMap, t: Tensor2) -> Tensor2:
-    """(f (x) g)(t)."""
+    """(f (x) g)(t) = sum t[p][q] f(e_p) (x) g(e_q)."""
     if f.dim_in != t.dim or g.dim_in != t.dim:
         raise ShapeError("tensor factor dims do not match the maps")
-    d_out_f, d_out_g = f.dim_out, g.dim_out
-    out = [[Fraction(0)] * d_out_g for _ in range(d_out_f)]
-    for p in range(t.dim):
-        for q in range(t.dim):
-            c = t.coeffs[p][q]
-            if not c:
-                continue
-            for a in range(d_out_f):
-                fa = f.entries[a][p]
-                if not fa:
-                    continue
-                for b in range(d_out_g):
-                    gb = g.entries[b][q]
-                    if gb:
-                        out[a][b] += c * fa * gb
-    return Tensor2(out)
+    if f.dim_out != g.dim_out:
+        raise ShapeError("Tensor2 must be square with positive dimension")
+    f_cols, g_cols = list(zip(*f.entries)), list(zip(*g.entries))
+    return Tensor2(tensor_sum(f.dim_out, 2, [
+        # t[p][q] f(e_p) (x) g(e_q)
+        (c, f_cols[p], g_cols[q])
+        for p, q, c in nonzero_entries(t.coeffs)]))
 
 
 def is_algebra_map(f: LinearMap, m: BilinearOp) -> CheckVerdict:
@@ -460,17 +485,12 @@ def compose_delta(delta: Comultiplication, f: LinearMap) -> Comultiplication:
     if f.dim_in != f.dim_out or f.dim_in != delta.dim:
         raise ShapeError("map and comultiplication dims differ")
     d = delta.dim
-    cube = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for m in range(d):
-        for p in range(d):
-            c = f.entries[p][m]
-            if not c:
-                continue
-            for j in range(d):
-                for k in range(d):
-                    if delta.cube[p][j][k]:
-                        cube[m][j][k] += c * delta.cube[p][j][k]
-    return Comultiplication(cube)
+    basis = [basis_vector(d, j) for j in range(d)]
+    return Comultiplication(tensor_sum(d, 3, [
+        # f[p][m] Delta[p][j][k] e_m (x) e_j (x) e_k
+        (fpm * c, basis[m], basis[j], basis[k])
+        for p, m, fpm in nonzero_entries(f.entries)
+        for j, k, c in nonzero_entries(delta.cube[p])]))
 
 
 def is_coalgebra_map(f: LinearMap, delta: Comultiplication) -> CheckVerdict:

@@ -25,13 +25,16 @@ from .exactlin import (
     Tensor2,
     Tensor3,
     Vector,
+    basis_vector,
     compose,
     first_failure,
     is_algebra_map,
     is_coalgebra_map,
     map_tensor2,
     maps_commute,
+    nonzero_entries,
     power,
+    tensor_sum,
     vec_add,
     vec_sub,
 )
@@ -335,27 +338,18 @@ def check_hom_coassociative(c: HomCoalgebra) -> CheckVerdict:
     if not v.passed:
         return v
     d = delta.dim
-    for m in range(d):
-        left = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        right = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        for p in range(d):
-            for q in range(d):
-                cpq = delta.cube[m][p][q]
-                if not cpq:
-                    continue
-                for j in range(d):
-                    for k in range(d):
-                        if delta.cube[p][j][k]:
-                            for t in range(d):
-                                if al.entries[t][q]:
-                                    left[j][k][t] += cpq * delta.cube[p][j][k] * al.entries[t][q]
-                for j in range(d):
-                    if al.entries[j][p]:
-                        for k in range(d):
-                            for t in range(d):
-                                if delta.cube[q][k][t]:
-                                    right[j][k][t] += cpq * al.entries[j][p] * delta.cube[q][k][t]
-        lt, rt = Tensor3(left), Tensor3(right)
+    al_cols = list(zip(*al.entries))
+    basis = [basis_vector(d, j) for j in range(d)]
+    images = [nonzero_entries(image) for image in delta.cube]
+    for m in range(d):              # Delta(e_m) = sum Delta[m][p][q] e_p (x) e_q
+        # (Delta (x) alpha): Delta[p][j][k] e_j (x) e_k (x) alpha(e_q)
+        lt = Tensor3(tensor_sum(d, 3, [
+            (cpq * cjk, basis[j], basis[k], al_cols[q])
+            for p, q, cpq in images[m] for j, k, cjk in images[p]]))
+        # (alpha (x) Delta): alpha(e_p) (x) Delta[q][k][t] e_k (x) e_t
+        rt = Tensor3(tensor_sum(d, 3, [
+            (cpq * ckt, al_cols[p], basis[k], basis[t])
+            for p, q, cpq in images[m] for k, t, ckt in images[q]]))
         if lt != rt:
             return CheckVerdict.fail("hom-coassociativity", (m,),
                                      lt.flatten(), rt.flatten())
@@ -371,39 +365,23 @@ def check_infinitesimal_compat(b: InfHomBialgebra) -> CheckVerdict:
     if delta.dim != mu.dim:
         raise ShapeError("product and coproduct dims differ")
     d = mu.dim
-    for i, j in itertools.product(range(d), repeat=2):
-        prod = mu.basis_product(i, j)
-        lhs_grid = [[Fraction(0)] * d for _ in range(d)]
-        for m in range(d):
-            if prod[m]:
-                for p in range(d):
-                    for q in range(d):
-                        if delta.cube[m][p][q]:
-                            lhs_grid[p][q] += prod[m] * delta.cube[m][p][q]
-        rhs_grid = [[Fraction(0)] * d for _ in range(d)]
-        ai = al.column(i)
-        aj = al.column(j)
-        for p in range(d):
-            for q in range(d):
-                cjq = delta.cube[j][p][q]
-                if cjq:
-                    left_vec = mu.apply(ai, [Fraction(1 if t == p else 0) for t in range(d)])
-                    right_vec = al.column(q)
-                    for s in range(d):
-                        if left_vec[s]:
-                            for t in range(d):
-                                if right_vec[t]:
-                                    rhs_grid[s][t] += cjq * left_vec[s] * right_vec[t]
-                ciq = delta.cube[i][p][q]
-                if ciq:
-                    right_vec = mu.apply([Fraction(1 if t == q else 0) for t in range(d)], aj)
-                    left_vec = al.column(p)
-                    for s in range(d):
-                        if left_vec[s]:
-                            for t in range(d):
-                                if right_vec[t]:
-                                    rhs_grid[s][t] += ciq * left_vec[s] * right_vec[t]
-        lhs, rhs = Tensor2(lhs_grid), Tensor2(rhs_grid)
+    al_cols = list(zip(*al.entries))
+    basis = [basis_vector(d, j) for j in range(d)]
+    images = [nonzero_entries(image) for image in delta.cube]
+    for i, j in itertools.product(range(d), repeat=2):   # a = e_i, b = e_j
+        # Delta(ab): (ab)[m] Delta[m][p][q] e_p (x) e_q
+        lhs = Tensor2(tensor_sum(d, 2, [
+            (cm * c, basis[p], basis[q])
+            for m, cm in enumerate(mu.basis_product(i, j)) if cm
+            for p, q, c in images[m]]))
+        rhs_terms = []
+        for p, q, c in images[j]:               # b_1 (x) b_2 = e_p (x) e_q
+            # alpha(a) b_1 (x) alpha(b_2)
+            rhs_terms.append((c, mu.apply(al_cols[i], basis[p]), al_cols[q]))
+        for p, q, c in images[i]:               # a_1 (x) a_2 = e_p (x) e_q
+            # alpha(a_1) (x) a_2 alpha(b)
+            rhs_terms.append((c, al_cols[p], mu.apply(basis[q], al_cols[j])))
+        rhs = Tensor2(tensor_sum(d, 2, rhs_terms))
         if lhs != rhs:
             return CheckVerdict.fail("coproduct-derivation", (i, j),
                                      [x for r in lhs.coeffs for x in r],
@@ -622,18 +600,12 @@ def check_aybe(a: BiHomAlgebra, r: Tensor2) -> CheckVerdict:
 
     if r.dim != a.dim:
         raise ShapeError("r does not live on the algebra")
-    inv_a = map_tensor2(a.alpha, a.alpha, r)
-    if inv_a != r:
-        diff = _first_tensor2_diff(inv_a, r)
-        return CheckVerdict.fail("alpha-invariance", diff,
-                                 (inv_a.coeffs[diff[0]][diff[1]],),
-                                 (r.coeffs[diff[0]][diff[1]],))
-    inv_b = map_tensor2(a.beta, a.beta, r)
-    if inv_b != r:
-        diff = _first_tensor2_diff(inv_b, r)
-        return CheckVerdict.fail("beta-invariance", diff,
-                                 (inv_b.coeffs[diff[0]][diff[1]],),
-                                 (r.coeffs[diff[0]][diff[1]],))
+    for law, f in (("alpha-invariance", a.alpha), ("beta-invariance", a.beta)):
+        inv = map_tensor2(f, f, r)
+        if inv != r:
+            i, j = _first_tensor2_diff(inv, r)
+            return CheckVerdict.fail(law, (i, j), (inv.coeffs[i][j],),
+                                     (r.coeffs[i][j],))
     res = aybe_residue(a, r)
     if not res.is_zero():
         d = res.dim

@@ -117,6 +117,23 @@ class TestConstruct:
         assert code == 3
         assert "mu-commutative" in err
 
+    def test_internal_inconsistency_exits_4(self, capsys, export, tmp_path,
+                                            monkeypatch):
+        from bihomcheck import cli
+        from bihomcheck.constructions import InternalInconsistencyError
+
+        def disagree(b):
+            raise InternalInconsistencyError(
+                "the two closed forms of the bullet product differ")
+
+        monkeypatch.setattr(cli, "infprelie_bullet", disagree)
+        out_path = tmp_path / "bullet.json"
+        code, out, err = run(capsys, "construct", "bullet", export("m2-qt"),
+                             "-o", str(out_path))
+        assert code == 4 and out == "" and not out_path.exists()
+        assert err == ("internal error: the two closed forms of the bullet "
+                       "product differ\n")
+
     def test_bullet(self, capsys, export, tmp_path):
         out_path = tmp_path / "bullet.json"
         code, _, _ = run(capsys, "construct", "bullet", export("m2-qt"),
@@ -185,6 +202,18 @@ class TestSearch:
         code, out, err = run(capsys, "search", str(spec_path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "removed" in err
+
+    def test_fast_path_disagreement_exits_4(self, capsys, tmp_path, monkeypatch):
+        from bihomcheck import kernels
+        monkeypatch.setenv("BIHOMCHECK_KERNEL", "numpy")
+        # a prefilter that lets every one of the 3^4 candidates through
+        monkeypatch.setattr(kernels, "fast_survivors",
+                            lambda problem, coeffs: range(3 ** 4))
+        spec_path = self.write_spec(tmp_path)
+        code, out, err = run(capsys, "search", str(spec_path))
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: ") and "kernel bug" in err
+        assert "Traceback" not in err
 
 
 class TestVerifyTheorem:

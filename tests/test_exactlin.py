@@ -18,7 +18,9 @@ from bihomcheck.exactlin import (
     is_algebra_map,
     is_coalgebra_map,
     map_tensor2,
+    nonzero_entries,
     power,
+    tensor_sum,
 )
 
 F = Fraction
@@ -132,6 +134,44 @@ class TestMapTensor2:
     def test_linear_in_tensor(self, f, g, t1, t2):
         assert (map_tensor2(f, g, t1 + t2)
                 == map_tensor2(f, g, t1) + map_tensor2(f, g, t2))
+
+
+class TestTensorSum:
+    def test_rank_1(self):
+        assert tensor_sum(2, 1, [(F(2), (1, 3)), (F(-1), (0, 1))]) == [2, 5]
+
+    def test_rank_2(self):
+        terms = [(F(1), (1, 0), (0, 1)), (F(1, 2), (2, 2), (1, 0))]
+        assert tensor_sum(2, 2, terms) == [[1, 1], [1, 0]]
+
+    def test_rank_3(self):
+        out = tensor_sum(2, 3, [(F(3), (1, 0), (0, 1), (1, -1)),
+                                (F(1), (1, 0), (0, 1), (0, 3))])
+        assert out == [[[0, 0], [3, 0]], [[0, 0], [0, 0]]]
+
+    def test_zero_coefficients_and_coordinates_are_skipped(self):
+        # a skipped factor is never read, so None stands in for it
+        assert tensor_sum(1, 1, [(F(0), None)]) == [0]
+        assert tensor_sum(1, 2, [(F(0), None, None), (F(1), (0,), None)]) == [[0]]
+        assert tensor_sum(1, 3, [(F(1), (1,), (0,), None)]) == [[[0]]]
+
+    def test_empty_sum_is_a_zero_tensor(self):
+        assert tensor_sum(3, 1, []) == [0] * 3
+        assert tensor_sum(3, 2, []) == [[0] * 3] * 3
+        assert tensor_sum(3, 3, []) == [[[0] * 3] * 3] * 3
+
+    def test_entries_are_fractions(self):
+        out = tensor_sum(2, 3, [(2, (1, 0), (1, 0), (1, 1))])
+        flat = [x for plane in out for row in plane for x in row]
+        assert flat == [2, 2, 0, 0, 0, 0, 0, 0]
+        assert all(type(x) is Fraction for x in flat)
+
+    def test_unsupported_rank(self):
+        with pytest.raises(ValueError):
+            tensor_sum(2, 4, [])
+
+    def test_nonzero_entries(self):
+        assert nonzero_entries([[0, 1], [F(1, 2), 0]]) == [(0, 1, 1), (1, 0, F(1, 2))]
 
 
 class TestIsAlgebraMap:
