@@ -11,6 +11,10 @@ Subcommands:
   report per instance.
 * ``catalogue [list | export <id> -o OUT]`` -- access the built-in examples.
 
+Each law, recipe and theorem is one table row: its file converters in
+order, the flags it reads and one call.  A document error names the file by
+position and path; a flag that the command does not read is a usage error.
+
 Exit codes: 0 success / all passed, 1 a check or conclusion failed,
 2 usage, document or input errors, 3 a construction hypothesis failed,
 4 an internal error (two computations that must agree differ: a bug).
@@ -20,12 +24,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import serialize as ser
 from .constructions import (
     InternalInconsistencyError,
     PreconditionError,
     abrb_operator,
+    analoglie_prelie,
     delta_r,
     dendriform_circ,
     dendriform_from_paren_rb,
@@ -37,12 +43,7 @@ from .constructions import (
     simprop_dendriform,
     yau_twist_assoc,
 )
-from .discovery import (
-    SearchSpaceTooLargeError,
-    catalogue,
-    catalogue_entry,
-    search,
-)
+from .discovery import catalogue, catalogue_entry, search
 from .exactlin import LinearMap, Tensor2
 from .structures import (
     HomAlgebra,
@@ -58,7 +59,7 @@ from .structures import (
     check_inf_hom_bialgebra,
     check_infinitesimal_compat,
 )
-from .theorems import THEOREM_IDS, catalogue_instances, verify_theorem
+from .theorems import catalogue_instances, verify_theorem
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,8 +68,8 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 
-def _load(path: str) -> ser.Document:
-    return ser.load_path(path)
+class SystemExit2(Exception):
+    """Usage errors surfaced with exit code 2."""
 
 
 def _print_doc(doc: ser.Document, compact: bool = True) -> None:
@@ -78,154 +79,198 @@ def _print_doc(doc: ser.Document, compact: bool = True) -> None:
 
 
 # ---------------------------------------------------------------------------
-# check
+# check, construct and verify-theorem: converters, one shared step, tables
 # ---------------------------------------------------------------------------
 
-_CHECK_LAWS = ("bihom-assoc", "hom-assoc", "assoc", "hom-coassoc",
-               "inf-compat", "inf-bialgebra", "dendriform", "hom-prelie",
-               "hom-novikov", "hom-lie", "aybe")
+_ALG, _HOM, _MAP, _R = (ser.to_bihom_algebra, ser.to_hom_algebra,
+                        ser.to_linear_map, ser.to_tensor2)
+_COALG, _BIALG, _DEND, _PRELIE, _LIE = (
+    partial(ser.to_bundle, kind=kind)
+    for kind in ("hom-coalgebra", "inf-hom-bialgebra", "dendriform",
+                 "hom-prelie", "hom-lie"))
 
 
-def _run_check(args) -> int:
-    law = args.law
-    docs = [_load(f) for f in args.files]
+def _mu(doc: ser.Document):
+    return ser.to_bihom_algebra(doc).mu
 
-    def need(count: int):
-        if len(docs) != count:
-            raise SystemExit2(f"law {law!r} takes {count} file(s)")
 
-    if law in ("bihom-assoc", "hom-assoc", "assoc"):
-        need(1)
-        a = ser.to_bihom_algebra(docs[0])
-        if law != "bihom-assoc" and not a.is_hom():
+def _restricted(law: str):
+    """The algebra converter of ``hom-assoc`` and ``assoc``."""
+    def convert(doc: ser.Document):
+        a = ser.to_bihom_algebra(doc)
+        if not a.is_hom():
             raise SystemExit2(f"law {law!r} needs equal structure maps")
         if law == "assoc" and not a.alpha.is_identity():
             raise SystemExit2("law 'assoc' needs identity structure maps")
-        verdict = check_bihom_associative(a)
-    elif law == "hom-coassoc":
-        need(1)
-        verdict = check_hom_coassociative(ser.to_bundle(docs[0], "hom-coalgebra"))
-    elif law in ("inf-compat", "inf-bialgebra"):
-        need(1)
-        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
-        verdict = (check_infinitesimal_compat(b) if law == "inf-compat"
-                   else check_inf_hom_bialgebra(b))
-    elif law == "dendriform":
-        need(1)
-        verdict = check_bihom_dendriform(ser.to_bundle(docs[0], "dendriform"))
-    elif law == "hom-prelie":
-        need(1)
-        verdict = check_hom_prelie(ser.to_bundle(docs[0], "hom-prelie"))
-    elif law == "hom-novikov":
-        need(1)
-        verdict = check_hom_novikov(ser.to_bundle(docs[0], "hom-prelie"))
-    elif law == "hom-lie":
-        need(1)
-        verdict = check_hom_lie(ser.to_bundle(docs[0], "hom-lie"))
-    elif law == "aybe":
-        need(2)
-        a = ser.to_bihom_algebra(docs[0])
-        verdict = check_aybe(a, ser.to_tensor2(docs[1]))
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit2(f"unknown law {law!r}")
+        return a
+    return convert
 
-    _print_doc(ser.doc_check_report(law, verdict))
+
+def _t12_file(doc: ser.Document) -> tuple:
+    """T12's one file: an inf-hom-bialgebra's Hom-algebra and ``r``."""
+    b = ser.to_bundle(doc, "inf-hom-bialgebra")
+    if doc.payload["r"] is None:
+        raise SystemExit2("T12 needs the Yang-Baxter element: pass an "
+                          "inf-hom-bialgebra with an \"r\" field, or "
+                          "two files (algebra + tensor2)")
+    return HomAlgebra(b.mu, b.alpha), doc.payload["r"]
+
+
+def _convert(what: str, forms: tuple, paths: list[str]) -> list:
+    """Load every file, check the count against ``forms`` (one converter per
+    file; T12 gives one tuple per count) and convert in order.  A converter
+    may return a tuple of objects.  Document and usage errors name the file."""
+    def named(n, step, arg):
+        try:
+            return step(arg)
+        except (ser.DocumentError, SystemExit2) as exc:
+            exc.args = (f"{exc} (file {n}: {paths[n - 1]})",)
+            raise
+
+    docs = [named(n, ser.load_path, path) for n, path in enumerate(paths, 1)]
+    if not isinstance(forms[0], tuple):
+        forms = (forms,)
+    form = next((f for f in forms if len(f) == len(docs)), None)
+    if form is None:
+        counts = " or ".join(str(len(f)) for f in forms)
+        raise SystemExit2(f"{what} takes {counts} file(s)")
+    objs = []
+    for n, (convert, doc) in enumerate(zip(form, docs), 1):
+        out = named(n, convert, doc)
+        objs += out if isinstance(out, tuple) else [out]
+    return objs
+
+
+_FLAGS = {"eta": "--eta", "n": "-n", "k": "-k", "negate_r": "--negate-r"}
+
+
+def _flags(what: str, reads: tuple, args) -> dict:
+    """The values of the flags ``what`` reads; any other flag that is set
+    (to a non-default value) is a usage error."""
+    for dest, flag in _FLAGS.items():
+        if dest not in reads and getattr(args, dest, None):
+            raise SystemExit2(f"{flag} does not apply to {what}")
+    return {dest: getattr(args, dest) for dest in reads}
+
+
+# Rows call library functions inside a lambda body, so that the module-level
+# name is looked up at call time (tests and tracing rebind these names).
+_CHECKS = {
+    "bihom-assoc": ((_ALG,), lambda a: check_bihom_associative(a)),
+    "hom-assoc": ((_restricted("hom-assoc"),),
+                  lambda a: check_bihom_associative(a)),
+    "assoc": ((_restricted("assoc"),), lambda a: check_bihom_associative(a)),
+    "hom-coassoc": ((_COALG,), lambda c: check_hom_coassociative(c)),
+    "inf-compat": ((_BIALG,), lambda b: check_infinitesimal_compat(b)),
+    "inf-bialgebra": ((_BIALG,), lambda b: check_inf_hom_bialgebra(b)),
+    "dendriform": ((_DEND,), lambda d: check_bihom_dendriform(d)),
+    "hom-prelie": ((_PRELIE,), lambda p: check_hom_prelie(p)),
+    "hom-novikov": ((_PRELIE,), lambda p: check_hom_novikov(p)),
+    "hom-lie": ((_LIE,), lambda l: check_hom_lie(l)),
+    "aybe": ((_ALG, _R), lambda a, r: check_aybe(a, r)),
+}
+
+# A recipe's call returns its document, or {output suffix: document}.
+_RECIPES = {
+    "yau-twist": ((_mu, _MAP, _MAP), (), lambda m, f, g: (
+        ser.doc_from_bihom(yau_twist_assoc(m, f, g)))),
+    "dendriform-sum": ((_DEND,), (),
+                       lambda d: ser.doc_from_bihom(dendriform_sum(d))),
+    "dendriform-circ": ((_DEND,), (),
+                        lambda d: ser.doc_from_bundle(dendriform_circ(d))),
+    "dendriform-from-rb": ((_mu, _MAP, _MAP, _MAP), (), lambda m, s, t, r: (
+        ser.doc_from_bundle(dendriform_from_paren_rb(m, s, t, r)))),
+    "simprop": ((_ALG, _MAP, _MAP, _MAP), ("eta",), lambda a, s, t, r, eta: (
+        ser.doc_from_bundle(simprop_dendriform(a, s, t, ser.to_linear_map(
+            ser.load_path(eta)) if eta else None, r)))),
+    "moregendend": ((_HOM, _MAP), ("n",), lambda h, r, n: (
+        lambda dend, total, circ: {
+            ".dendriform.json": ser.doc_from_bundle(dend),
+            ".sum.json": ser.doc_from_bihom(total.as_bihom()),
+            ".prelie.json": ser.doc_from_bundle(circ)})(
+        *moregendend_triple(h, n, r))),
+    "analoglie": ((_LIE, _MAP), ("n",), lambda l, r, n: (
+        ser.doc_from_bundle(analoglie_prelie(l, n, r)))),
+    "abrb": ((_ALG, _R), (),
+             lambda a, r: ser.doc_from_linear_map(abrb_operator(a, r))),
+    "gengd": ((_HOM, _MAP), ("k",),
+              lambda h, d, k: ser.doc_from_bundle(gengd_novikov(h, k, d))),
+    "mu-delta": ((_BIALG,), (),
+                 lambda b: ser.doc_from_linear_map(mu_delta_map(b))),
+    "bullet": ((_BIALG,), (),
+               lambda b: ser.doc_from_bundle(infprelie_bullet(b))),
+    "delta-r": ((_HOM, _R), ("negate_r",), lambda h, r, negate_r: (
+        ser.doc_from_bundle(HomCoalgebra(delta_r(h, -r if negate_r else r),
+                                         h.alpha)))),
+}
+
+# A theorem's call returns the keyword arguments of ``verify_theorem``.
+_THEOREMS = {
+    "T1": ((_mu, _MAP, _MAP), (),
+           lambda m, f, g: {"m": m, "alpha": f, "beta": g}),
+    "T2": ((_DEND,), (), lambda d: {"d": d}),
+    "T3": ((_mu, _MAP, _MAP, _MAP), (),
+           lambda m, s, t, r: {"m": m, "sigma": s, "tau": t, "R": r}),
+    "T4": ((_mu, _MAP, _MAP, _MAP), (),
+           lambda m, s, t, d: {"m": m, "sigma": s, "tau": t, "D": d}),
+    "T5": ((_mu, _MAP, _MAP, _MAP), (),
+           lambda m, s, t, r: {"m": m, "sigma": s, "tau": t, "R": r}),
+    "T6": ((_mu, _MAP, _MAP), (),
+           lambda m, s, r: {"m": m, "sigma": s, "R": r}),
+    "T7": ((_ALG, _MAP, _MAP, _MAP), ("eta",),
+           lambda a, s, t, r, eta: {
+               "a": a, "sigma": s, "tau": t, "R": r,
+               "eta": ser.to_linear_map(ser.load_path(eta)) if eta else None}),
+    "T8": ((_LIE, _MAP), ("n",), lambda l, r, n: {"l": l, "n": n, "R": r}),
+    "T9": ((_ALG, _R), (), lambda a, r: {"a": a, "r": r}),
+    "T10": ((_BIALG,), (), lambda b: {"b": b}),
+    "T11": ((_BIALG, _MAP), (), lambda b, f: {"b": b, "alpha": f}),
+    "T12": (((_t12_file,), (_HOM, _R)), ("negate_r",),
+            lambda h, r, negate_r: {"h": h, "r": -r if negate_r else r}),
+}
+
+
+def _run_check(args) -> int:
+    convs, call = _CHECKS[args.law]
+    verdict = call(*_convert(f"law {args.law!r}", convs, args.files))
+    _print_doc(ser.doc_check_report(args.law, verdict))
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
-# ---------------------------------------------------------------------------
-# construct
-# ---------------------------------------------------------------------------
-
-_RECIPES = ("yau-twist", "dendriform-sum", "dendriform-circ",
-            "dendriform-from-rb", "simprop", "moregendend", "analoglie",
-            "abrb", "gengd", "mu-delta", "bullet", "delta-r")
-
-
 def _run_construct(args) -> int:
-    recipe = args.recipe
-    docs = [_load(f) for f in args.files]
-
-    def need(count: int):
-        if len(docs) != count:
-            raise SystemExit2(f"recipe {recipe!r} takes {count} file(s)")
-
-    def out(doc: ser.Document):
-        ser.dump_path(doc, args.output)
-
-    if recipe == "yau-twist":
-        need(3)
-        a = ser.to_bihom_algebra(docs[0])
-        twisted = yau_twist_assoc(a.mu, ser.to_linear_map(docs[1]),
-                                  ser.to_linear_map(docs[2]))
-        out(ser.doc_from_bihom(twisted))
-    elif recipe == "dendriform-sum":
-        need(1)
-        d = ser.to_bundle(docs[0], "dendriform")
-        out(ser.doc_from_bihom(dendriform_sum(d)))
-    elif recipe == "dendriform-circ":
-        need(1)
-        d = ser.to_bundle(docs[0], "dendriform")
-        out(ser.doc_from_bundle(dendriform_circ(d)))
-    elif recipe == "dendriform-from-rb":
-        need(4)
-        a = ser.to_bihom_algebra(docs[0])
-        dend = dendriform_from_paren_rb(a.mu, ser.to_linear_map(docs[1]),
-                                        ser.to_linear_map(docs[2]),
-                                        ser.to_linear_map(docs[3]))
-        out(ser.doc_from_bundle(dend))
-    elif recipe == "simprop":
-        need(4)
-        a = ser.to_bihom_algebra(docs[0])
-        eta = ser.to_linear_map(_load(args.eta)) if args.eta else None
-        dend = simprop_dendriform(a, ser.to_linear_map(docs[1]),
-                                  ser.to_linear_map(docs[2]), eta,
-                                  ser.to_linear_map(docs[3]))
-        out(ser.doc_from_bundle(dend))
-    elif recipe == "moregendend":
-        need(2)
-        h = ser.to_hom_algebra(docs[0])
-        dend, total, circ = moregendend_triple(h, args.n,
-                                               ser.to_linear_map(docs[1]))
-        ser.dump_path(ser.doc_from_bundle(dend),
-                      args.output + ".dendriform.json")
-        ser.dump_path(ser.doc_from_bihom(total.as_bihom()),
-                      args.output + ".sum.json")
-        ser.dump_path(ser.doc_from_bundle(circ), args.output + ".prelie.json")
-    elif recipe == "analoglie":
-        need(2)
-        from .constructions import analoglie_prelie
-        prelie = analoglie_prelie(ser.to_bundle(docs[0], "hom-lie"), args.n,
-                                  ser.to_linear_map(docs[1]))
-        out(ser.doc_from_bundle(prelie))
-    elif recipe == "abrb":
-        need(2)
-        a = ser.to_bihom_algebra(docs[0])
-        out(ser.doc_from_linear_map(abrb_operator(a, ser.to_tensor2(docs[1]))))
-    elif recipe == "gengd":
-        need(2)
-        h = ser.to_hom_algebra(docs[0])
-        out(ser.doc_from_bundle(gengd_novikov(h, args.k,
-                                              ser.to_linear_map(docs[1]))))
-    elif recipe == "mu-delta":
-        need(1)
-        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
-        out(ser.doc_from_linear_map(mu_delta_map(b)))
-    elif recipe == "bullet":
-        need(1)
-        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
-        out(ser.doc_from_bundle(infprelie_bullet(b)))
-    elif recipe == "delta-r":
-        need(2)
-        h = ser.to_hom_algebra(docs[0])
-        r = ser.to_tensor2(docs[1])
-        if args.negate_r:
-            r = -r
-        delta = delta_r(h, r)
-        out(ser.doc_from_bundle(HomCoalgebra(delta, h.alpha)))
-    else:  # pragma: no cover
-        raise SystemExit2(f"unknown recipe {recipe!r}")
+    convs, reads, call = _RECIPES[args.recipe]
+    what = f"recipe {args.recipe!r}"
+    made = call(*_convert(what, convs, args.files),
+                **_flags(what, reads, args))
+    for suffix, doc in (made if isinstance(made, dict)
+                        else {"": made}).items():
+        ser.dump_path(doc, args.output + suffix)
     return EXIT_PASS
+
+
+def _run_verify(args) -> int:
+    tid = args.theorem
+    if args.all_catalogue:
+        _flags("--all-catalogue", (), args)
+        instances = catalogue_instances(tid)
+    elif not args.files:
+        raise SystemExit2("pass instance files or --all-catalogue")
+    else:
+        forms, reads, call = _THEOREMS[tid]
+        what = f"theorem {tid!r}"
+        kwargs = call(*_convert(what, forms, args.files),
+                      **_flags(what, reads, args))
+        instances = [(kwargs, ",".join(args.files))]
+
+    worst = EXIT_PASS
+    for kwargs, desc in instances:
+        report = verify_theorem(tid, **{"desc": desc, **kwargs})
+        _print_doc(ser.doc_theorem_report(report))
+        if not report.passed:
+            code = (EXIT_PRECONDITION if report.failed_hypothesis
+                    else EXIT_FAIL)
+            worst = max(worst, code)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +278,7 @@ def _run_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_search(args) -> int:
-    doc = _load(args.spec)
+    doc = ser.load_path(args.spec)
     if doc.kind != "search-spec":
         raise SystemExit2(f"expected a search-spec document, got {doc.kind!r}")
     spec = doc.payload["spec"]
@@ -259,111 +304,6 @@ def _run_search(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify-theorem
-# ---------------------------------------------------------------------------
-
-def _theorem_instances_from_files(tid: str, docs: list[ser.Document],
-                                  args) -> list[tuple[dict, str]]:
-    name = ",".join(args.files)
-
-    def need(*counts):
-        if len(docs) not in counts:
-            raise SystemExit2(f"theorem {tid!r} takes "
-                              f"{' or '.join(map(str, counts))} file(s)")
-
-    def maps(*idx):
-        return [ser.to_linear_map(docs[i]) for i in idx]
-
-    if tid == "T1":
-        need(3)
-        a = ser.to_bihom_algebra(docs[0])
-        f, g = maps(1, 2)
-        return [({"m": a.mu, "alpha": f, "beta": g}, name)]
-    if tid == "T2":
-        need(1)
-        return [({"d": ser.to_bundle(docs[0], "dendriform")}, name)]
-    if tid in ("T3", "T5"):
-        need(4)
-        a = ser.to_bihom_algebra(docs[0])
-        s, t, r = maps(1, 2, 3)
-        return [({"m": a.mu, "sigma": s, "tau": t, "R": r}, name)]
-    if tid == "T4":
-        need(4)
-        a = ser.to_bihom_algebra(docs[0])
-        s, t, d = maps(1, 2, 3)
-        return [({"m": a.mu, "sigma": s, "tau": t, "D": d}, name)]
-    if tid == "T6":
-        need(3)
-        a = ser.to_bihom_algebra(docs[0])
-        s, r = maps(1, 2)
-        return [({"m": a.mu, "sigma": s, "R": r}, name)]
-    if tid == "T7":
-        need(4)
-        a = ser.to_bihom_algebra(docs[0])
-        s, t, r = maps(1, 2, 3)
-        eta = ser.to_linear_map(_load(args.eta)) if args.eta else None
-        return [({"a": a, "sigma": s, "tau": t, "eta": eta, "R": r}, name)]
-    if tid == "T8":
-        need(2)
-        return [({"l": ser.to_bundle(docs[0], "hom-lie"), "n": args.n,
-                  "R": ser.to_linear_map(docs[1])}, name)]
-    if tid == "T9":
-        need(2)
-        return [({"a": ser.to_bihom_algebra(docs[0]),
-                  "r": ser.to_tensor2(docs[1])}, name)]
-    if tid == "T10":
-        need(1)
-        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
-        return [({"b": b}, name)]
-    if tid == "T11":
-        need(2)
-        b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
-        return [({"b": b, "alpha": ser.to_linear_map(docs[1])}, name)]
-    if tid == "T12":
-        need(1, 2)
-        if len(docs) == 1:
-            b = ser.to_bundle(docs[0], "inf-hom-bialgebra")
-            r = docs[0].payload["r"]
-            if r is None:
-                raise SystemExit2("T12 needs the Yang-Baxter element: pass an "
-                                  "inf-hom-bialgebra with an \"r\" field, or "
-                                  "two files (algebra + tensor2)")
-            h = HomAlgebra(b.mu, b.alpha)
-        else:
-            h = ser.to_hom_algebra(docs[0])
-            r = ser.to_tensor2(docs[1])
-        if args.negate_r:
-            r = -r
-        return [({"h": h, "r": r}, name)]
-    raise SystemExit2(f"unknown theorem id {tid!r}")
-
-
-def _run_verify(args) -> int:
-    tid = args.theorem
-    if args.all_catalogue:
-        instances = catalogue_instances(tid)
-    else:
-        if not args.files:
-            raise SystemExit2("pass instance files or --all-catalogue")
-        docs = [_load(f) for f in args.files]
-        instances = _theorem_instances_from_files(tid, docs, args)
-        if args.negate_r and tid != "T12":
-            raise SystemExit2("--negate-r only applies to T12 / delta-r")
-
-    worst = EXIT_PASS
-    for kwargs, desc in instances:
-        kwargs = dict(kwargs)
-        kwargs.setdefault("desc", desc)
-        report = verify_theorem(tid, **kwargs)
-        _print_doc(ser.doc_theorem_report(report))
-        if not report.passed:
-            code = (EXIT_PRECONDITION if report.failed_hypothesis
-                    else EXIT_FAIL)
-            worst = max(worst, code)
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # catalogue
 # ---------------------------------------------------------------------------
 
@@ -386,10 +326,6 @@ def _run_catalogue(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-class SystemExit2(Exception):
-    """Usage errors surfaced with exit code 2."""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bihomcheck",
@@ -398,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run one axiom checker")
-    p_check.add_argument("law", choices=_CHECK_LAWS)
+    p_check.add_argument("law", choices=_CHECKS)
     p_check.add_argument("files", nargs="+")
     p_check.set_defaults(func=_run_check)
 
@@ -423,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=_run_search)
 
     p_ver = sub.add_parser("verify-theorem", help="run a registry pipeline")
-    p_ver.add_argument("theorem", choices=THEOREM_IDS)
+    p_ver.add_argument("theorem", choices=_THEOREMS)
     p_ver.add_argument("files", nargs="*")
     p_ver.add_argument("--all-catalogue", action="store_true",
                        help="run on every generated catalogue instance")
@@ -442,6 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception types, stderr prefix, exit code); the first match wins, so the
+# library's ValueError subclasses come before the catch-all ValueError row:
+# a ShapeError, a SearchSpaceTooLargeError, an unknown BIHOMCHECK_KERNEL.
+_ERRORS = (
+    ((SystemExit2, FileNotFoundError, KeyError), "error", EXIT_USAGE),
+    (ser.DocumentError, "document error", EXIT_USAGE),
+    ((PreconditionError, InvalidParameterError), "precondition violated",
+     EXIT_PRECONDITION),
+    (InternalInconsistencyError, "internal error", EXIT_INTERNAL),
+    (ValueError, "error", EXIT_USAGE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -449,32 +398,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("catalogue export needs an entry id")
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ser.DocumentError as exc:
-        print(f"document error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, InvalidParameterError) as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InternalInconsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except SearchSpaceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # other input the library rejects: a ShapeError from mismatched
-        # dimensions, an unknown BIHOMCHECK_KERNEL, an invalid ambient
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for types, prefix, code in _ERRORS:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

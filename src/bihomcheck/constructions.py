@@ -42,6 +42,7 @@ from .structures import (
     InvalidParameterError,
     LieAlphaPowerRB,
     ParenRB,
+    _require_square,
     check_bihom_associative,
     check_bihom_dendriform,
     check_classical_associative,
@@ -249,6 +250,8 @@ def aybe_residue(a: BiHomAlgebra, r: Tensor2) -> Tensor3:
 
     and the residue is t13_12 - t12_23 + t23_13.
     """
+    _require_square(a.alpha, a.dim, "alpha")
+    _require_square(a.beta, a.dim, "beta")
     if r.dim != a.dim:
         raise ShapeError("r does not live on the algebra")
     mu = a.mu

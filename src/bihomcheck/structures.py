@@ -598,6 +598,8 @@ def check_aybe(a: BiHomAlgebra, r: Tensor2) -> CheckVerdict:
     vanishing of the residue tensor."""
     from .constructions import aybe_residue  # local import avoids a cycle
 
+    _require_square(a.alpha, a.dim, "alpha")
+    _require_square(a.beta, a.dim, "beta")
     if r.dim != a.dim:
         raise ShapeError("r does not live on the algebra")
     for law, f in (("alpha-invariance", a.alpha), ("beta-invariance", a.beta)):

@@ -76,6 +76,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", "bihom-assoc", "no-such.json")
         assert code == 2
 
+    def test_wrong_kind_names_the_file(self, capsys, export):
+        m2 = export("m2")
+        code, out, err = run(capsys, "check", "aybe", m2, m2)
+        assert code == 2 and out == ""
+        assert err.startswith("document error: /kind: expected tensor2, ")
+        assert err.endswith(f" (file 2: {m2})\n")
+
 
 class TestConstruct:
     def test_abrb_zero_solution(self, capsys, export, tmp_path):
@@ -259,6 +266,35 @@ class TestVerifyTheorem:
     def test_requires_files_or_flag(self, capsys):
         code, _, err = run(capsys, "verify-theorem", "T9")
         assert code == 2
+
+
+class TestUnusedFlags:
+    def test_recipe_rejects_flag_it_does_not_read(self, capsys, export,
+                                                  tmp_path):
+        from bihomcheck.exactlin import Tensor2
+        from bihomcheck.serialize import doc_from_tensor2
+        r = tmp_path / "r0.json"
+        dump_path(doc_from_tensor2(Tensor2.zero(2)), str(r))
+        out_path = tmp_path / "R.json"
+        argv = ["construct", "abrb", export("dx2"), str(r), "-o", str(out_path)]
+        code, out, err = run(capsys, *argv, "--negate-r")
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == "error: --negate-r does not apply to recipe 'abrb'\n"
+        # a flag left at its default value is not "set"
+        code, _, _ = run(capsys, *argv, "-n", "0")
+        assert code == 0 and out_path.exists()
+
+    def test_theorem_rejects_flag_it_does_not_read(self, capsys, export,
+                                                   tmp_path):
+        from bihomcheck.exactlin import LinearMap
+        from bihomcheck.serialize import doc_from_linear_map
+        ident = tmp_path / "id.json"
+        dump_path(doc_from_linear_map(LinearMap.identity(2)), str(ident))
+        code, out, err = run(capsys, "verify-theorem", "T3", export("n2"),
+                             str(ident), str(ident), str(ident),
+                             "--eta", str(ident))
+        assert code == 2 and out == ""
+        assert err == "error: --eta does not apply to theorem 'T3'\n"
 
 
 class TestCatalogueCommand:

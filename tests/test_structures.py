@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from bihomcheck.constructions import aybe_residue
 from bihomcheck.exactlin import (
     BilinearOp,
     Comultiplication,
     LinearMap,
+    ShapeError,
     Tensor2,
     vec_add,
 )
@@ -87,6 +89,21 @@ class TestBiHomAssociative:
         a = BiHomAlgebra(n2.mu, diag(1, 2), id2)
         v = check_bihom_associative(a)
         assert not v.passed and v.law == "alpha-multiplicative"
+
+    def test_nonmultiplicative_beta_fails(self, n2, id2):
+        # beta commutes with alpha = id; beta(uu) = beta(v) = -(u + v) but
+        # beta(u) beta(u) = (u + v)(u + v) = v
+        a = BiHomAlgebra(n2.mu, id2, LinearMap([[-1, -1], [-1, -1]]))
+        v = check_bihom_associative(a)
+        assert not v.passed and v.law == "beta-multiplicative"
+        assert v.witness.indices == (0, 0)
+
+    def test_unit_moved_by_beta_fails(self, n2, id2):
+        # beta(v) = 0 != v; without this check the unit fails a unit law
+        a = BiHomAlgebra(n2.mu, id2, LinearMap([[0, 0], [-1, 0]]),
+                         unit=(F(0), F(1)))
+        v = check_bihom_associative(a)
+        assert not v.passed and v.law == "unit-beta-fixed"
 
 
 class TestHomCoassociative:
@@ -209,6 +226,13 @@ class TestHomLie:
     def test_matrix_commutator(self, m2, id4):
         assert check_hom_lie(HomLie(commutator(m2.mu), id4)).passed
 
+    def test_skew_failure_at_smallest_pair(self, id2):
+        # [e0, e1] = e0 and every other product 0: (0, 1) and (1, 0) fail
+        bracket = BilinearOp.from_products(2, {(0, 1): (1, 0)})
+        v = check_hom_lie(HomLie(bracket, id2))
+        assert not v.passed and v.law == "skew-symmetry"
+        assert v.witness.indices == (0, 1)
+
     def test_swap_map_not_multiplicative(self):
         # [u, v] = u = -[v, u], alpha swaps u and v
         bracket = BilinearOp.from_products(
@@ -327,6 +351,17 @@ class TestAybe:
         assert v.law == "yang-baxter-residue"
         assert v.witness.indices == (0, 0, 0)
         assert v.witness.lhs == (F(1),)
+
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 1], [0, 0]], [[1, 0]]])
+    def test_non_square_map_is_shape_error(self, dx2, id2, which, rows):
+        # a 3x2 map used to raise IndexError and a 1x2 map AssertionError
+        maps = {"alpha": id2, "beta": id2, which: LinearMap(rows)}
+        a = BiHomAlgebra(dx2.mu, maps["alpha"], maps["beta"])
+        r = Tensor2.from_pairs(2, {(0, 0): 1, (1, 1): 1})
+        for f in (check_aybe, aybe_residue):
+            with pytest.raises(ShapeError, match=f"{which} must be a 2x2"):
+                f(a, r)
 
     def test_invariance_failure(self, dx2, neg_x):
         twisted = BiHomAlgebra(dx2.mu, neg_x, neg_x)
