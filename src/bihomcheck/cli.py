@@ -116,18 +116,21 @@ def _t12_file(doc: ser.Document) -> tuple:
     return HomAlgebra(b.mu, b.alpha), doc.payload["r"]
 
 
+def _named(where: str, step, arg):
+    """``step(arg)``, with a document or usage error naming ``where``."""
+    try:
+        return step(arg)
+    except (ser.DocumentError, SystemExit2) as exc:
+        exc.args = (f"{exc} ({where})",)
+        raise
+
+
 def _convert(what: str, forms: tuple, paths: list[str]) -> list:
     """Load every file, check the count against ``forms`` (one converter per
     file; T12 gives one tuple per count) and convert in order.  A converter
     may return a tuple of objects.  Document and usage errors name the file."""
-    def named(n, step, arg):
-        try:
-            return step(arg)
-        except (ser.DocumentError, SystemExit2) as exc:
-            exc.args = (f"{exc} (file {n}: {paths[n - 1]})",)
-            raise
-
-    docs = [named(n, ser.load_path, path) for n, path in enumerate(paths, 1)]
+    docs = [_named(f"file {n}: {path}", ser.load_path, path)
+            for n, path in enumerate(paths, 1)]
     if not isinstance(forms[0], tuple):
         forms = (forms,)
     form = next((f for f in forms if len(f) == len(docs)), None)
@@ -136,9 +139,15 @@ def _convert(what: str, forms: tuple, paths: list[str]) -> list:
         raise SystemExit2(f"{what} takes {counts} file(s)")
     objs = []
     for n, (convert, doc) in enumerate(zip(form, docs), 1):
-        out = named(n, convert, doc)
+        out = _named(f"file {n}: {paths[n - 1]}", convert, doc)
         objs += out if isinstance(out, tuple) else [out]
     return objs
+
+
+def _eta(path: str | None) -> LinearMap | None:
+    """The ``--eta`` map, if one is given."""
+    return _named(f"--eta: {path}", lambda p: ser.to_linear_map(
+        ser.load_path(p)), path) if path else None
 
 
 _FLAGS = {"eta": "--eta", "n": "-n", "k": "-k", "negate_r": "--negate-r"}
@@ -181,8 +190,7 @@ _RECIPES = {
     "dendriform-from-rb": ((_mu, _MAP, _MAP, _MAP), (), lambda m, s, t, r: (
         ser.doc_from_bundle(dendriform_from_paren_rb(m, s, t, r)))),
     "simprop": ((_ALG, _MAP, _MAP, _MAP), ("eta",), lambda a, s, t, r, eta: (
-        ser.doc_from_bundle(simprop_dendriform(a, s, t, ser.to_linear_map(
-            ser.load_path(eta)) if eta else None, r)))),
+        ser.doc_from_bundle(simprop_dendriform(a, s, t, _eta(eta), r)))),
     "moregendend": ((_HOM, _MAP), ("n",), lambda h, r, n: (
         lambda dend, total, circ: {
             ".dendriform.json": ser.doc_from_bundle(dend),
@@ -219,8 +227,7 @@ _THEOREMS = {
            lambda m, s, r: {"m": m, "sigma": s, "R": r}),
     "T7": ((_ALG, _MAP, _MAP, _MAP), ("eta",),
            lambda a, s, t, r, eta: {
-               "a": a, "sigma": s, "tau": t, "R": r,
-               "eta": ser.to_linear_map(ser.load_path(eta)) if eta else None}),
+               "a": a, "sigma": s, "tau": t, "R": r, "eta": _eta(eta)}),
     "T8": ((_LIE, _MAP), ("n",), lambda l, r, n: {"l": l, "n": n, "R": r}),
     "T9": ((_ALG, _R), (), lambda a, r: {"a": a, "r": r}),
     "T10": ((_BIALG,), (), lambda b: {"b": b}),
@@ -251,6 +258,8 @@ def _run_construct(args) -> int:
 def _run_verify(args) -> int:
     tid = args.theorem
     if args.all_catalogue:
+        if args.files:
+            raise SystemExit2("--all-catalogue takes no instance files")
         _flags("--all-catalogue", (), args)
         instances = catalogue_instances(tid)
     elif not args.files:

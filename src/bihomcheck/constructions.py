@@ -1,14 +1,18 @@
 """Constructions turning one verified structure into another.
 
-Every operation first runs the hypothesis checkers and refuses to construct
-on failure (PreconditionError names the failed hypothesis), so a pipeline
-can never report a vacuous pass on an invalid instance.  Where two closed
+Each construction is one generator, its steps: it yields its hypotheses as
+lists of ``(name, checker, *args)`` and then returns what it builds.  The
+public function checks every hypothesis first and refuses to construct on
+failure (PreconditionError names the failed hypothesis), so a pipeline can
+never report a vacuous pass on an invalid instance.  Pipelines record the
+same hypotheses from ``.steps``; ``.build`` checks none.  Where two closed
 forms exist for the same object (the Yang-Baxter-induced operator, the
 bullet product) both are computed and asserted equal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .exactlin import (
@@ -22,7 +26,6 @@ from .exactlin import (
     basis_vector,
     compose,
     is_algebra_map,
-    maps_commute,
     nonzero_entries,
     power,
     tensor_sum,
@@ -42,6 +45,7 @@ from .structures import (
     InvalidParameterError,
     LieAlphaPowerRB,
     ParenRB,
+    _commutation_verdict,
     _require_square,
     check_bihom_associative,
     check_bihom_dendriform,
@@ -69,14 +73,46 @@ class InternalInconsistencyError(RuntimeError):
     prefilter and the exact certifier) differ: a bug or a violated hypothesis."""
 
 
-def _require(verdict_or_bool, hypothesis: str) -> None:
-    if isinstance(verdict_or_bool, CheckVerdict):
-        if not verdict_or_bool.passed:
-            w = verdict_or_bool.witness
-            raise PreconditionError(
-                hypothesis, f"fails {verdict_or_bool.law} at {w.indices}")
-    elif not verdict_or_bool:
-        raise PreconditionError(hypothesis)
+#: the reason given when a yes/no hypothesis fails
+_REASONS = {
+    "classical-dendriform": "input must carry identity structure maps",
+    "classical-prelie": "input must carry the identity structure map",
+    "classical-inf-bialgebra": "structure map must be the identity",
+    "classical-base": "only classical entries can be twisted",
+}
+
+
+def _require(hypothesis: str, verdict: CheckVerdict | bool) -> bool:
+    if not verdict:
+        raise PreconditionError(hypothesis, (
+            f"fails {verdict.law} at {verdict.witness.indices}"
+            if isinstance(verdict, CheckVerdict)
+            else _REASONS.get(hypothesis, "")))
+    return True
+
+
+def run_steps(steps, check=None):
+    """What ``steps`` build, or None after a list of hypotheses in which
+    ``check(name, verdict)`` returned False; no check computes no verdict."""
+    while True:
+        try:
+            hypotheses = next(steps)
+        except StopIteration as built:
+            return built.value
+        if check and not all([check(name, checker(*args))
+                              for name, checker, *args in hypotheses]):
+            return None
+
+
+def _construction(steps):
+    """The public construction of ``steps``, which checks every hypothesis.
+    ``.steps`` stays reachable, and ``.build`` checks none."""
+    @functools.wraps(steps)
+    def construct(*args, **kwargs):
+        return run_steps(steps(*args, **kwargs), _require)
+    construct.steps = steps
+    construct.build = lambda *args, **kwargs: run_steps(steps(*args, **kwargs))
+    return construct
 
 
 def _twisted_product(mu: BilinearOp, f: LinearMap, g: LinearMap) -> BilinearOp:
@@ -98,6 +134,7 @@ def _post_product(f: LinearMap, mu: BilinearOp) -> BilinearOp:
 # Yau twists
 # ---------------------------------------------------------------------------
 
+@_construction
 def yau_twist_assoc(m: BilinearOp, alpha: LinearMap, beta: LinearMap) -> BiHomAlgebra:
     """Deform an associative product into mu o (alpha (x) beta).
 
@@ -105,38 +142,39 @@ def yau_twist_assoc(m: BilinearOp, alpha: LinearMap, beta: LinearMap) -> BiHomAl
     result satisfies the twisted associativity by construction (and the
     theorem pipelines re-verify it).
     """
-    _require(check_classical_associative(m), "m-associative")
-    _require(is_algebra_map(alpha, m), "alpha-algebra-map")
-    _require(is_algebra_map(beta, m), "beta-algebra-map")
-    _require(maps_commute(alpha, beta), "alpha-beta-commute")
+    yield [("m-associative", check_classical_associative, m),
+           ("alpha-algebra-map", is_algebra_map, alpha, m),
+           ("beta-algebra-map", is_algebra_map, beta, m),
+           ("alpha-beta-commute", _commutation_verdict, alpha, beta,
+            "alpha-beta-commute")]
     return BiHomAlgebra(_twisted_product(m, alpha, beta), alpha, beta)
 
 
+@_construction
 def yau_twist_dendriform(d: BiHomDendriform, alpha: LinearMap,
                          beta: LinearMap) -> BiHomDendriform:
     """Twist a classical dendriform pair into x <' y = alpha(x) < beta(y),
     x >' y = alpha(x) > beta(y) with structure maps (alpha, beta)."""
-    if not (d.alpha.is_identity() and d.beta.is_identity()):
-        raise PreconditionError("classical-dendriform",
-                                "input must carry identity structure maps")
-    _require(check_bihom_dendriform(d), "dendriform")
-    _require(is_algebra_map(alpha, d.prec), "alpha-prec-multiplicative")
-    _require(is_algebra_map(alpha, d.succ), "alpha-succ-multiplicative")
-    _require(is_algebra_map(beta, d.prec), "beta-prec-multiplicative")
-    _require(is_algebra_map(beta, d.succ), "beta-succ-multiplicative")
-    _require(maps_commute(alpha, beta), "alpha-beta-commute")
+    yield [("classical-dendriform",
+            lambda: d.alpha.is_identity() and d.beta.is_identity()),
+           ("dendriform", check_bihom_dendriform, d),
+           ("alpha-prec-multiplicative", is_algebra_map, alpha, d.prec),
+           ("alpha-succ-multiplicative", is_algebra_map, alpha, d.succ),
+           ("beta-prec-multiplicative", is_algebra_map, beta, d.prec),
+           ("beta-succ-multiplicative", is_algebra_map, beta, d.succ),
+           ("alpha-beta-commute", _commutation_verdict, alpha, beta,
+            "alpha-beta-commute")]
     return BiHomDendriform(_twisted_product(d.prec, alpha, beta),
                            _twisted_product(d.succ, alpha, beta),
                            alpha, beta)
 
 
+@_construction
 def yau_twist_prelie(p: HomPreLie, alpha: LinearMap) -> HomPreLie:
     """Twist a classical left pre-Lie product into alpha o mu."""
-    if not p.alpha.is_identity():
-        raise PreconditionError("classical-prelie",
-                                "input must carry the identity structure map")
-    _require(check_hom_prelie(p), "prelie")
-    _require(is_algebra_map(alpha, p.mu), "alpha-prelie-morphism")
+    yield [("classical-prelie", p.alpha.is_identity),
+           ("prelie", check_hom_prelie, p),
+           ("alpha-prelie-morphism", is_algebra_map, alpha, p.mu)]
     return HomPreLie(_post_product(alpha, p.mu), alpha)
 
 
@@ -144,9 +182,10 @@ def yau_twist_prelie(p: HomPreLie, alpha: LinearMap) -> HomPreLie:
 # Dendriform consequences
 # ---------------------------------------------------------------------------
 
+@_construction
 def dendriform_sum(d: BiHomDendriform) -> BiHomAlgebra:
     """x*y = x < y + x > y, same structure maps."""
-    _require(check_bihom_dendriform(d), "dendriform")
+    yield [("dendriform", check_bihom_dendriform, d)]
     n = d.dim
     cube = tuple(tuple(vec_add(d.prec.basis_product(i, j),
                                d.succ.basis_product(i, j))
@@ -154,11 +193,12 @@ def dendriform_sum(d: BiHomDendriform) -> BiHomAlgebra:
     return BiHomAlgebra(BilinearOp(cube), d.alpha, d.beta)
 
 
+@_construction
 def dendriform_circ(d: BiHomDendriform) -> HomPreLie:
     """x o y = x > y - y < x; only defined when alpha = beta."""
     if d.alpha != d.beta:
         raise InvalidParameterError("circ product needs alpha = beta")
-    _require(check_bihom_dendriform(d), "dendriform")
+    yield [("dendriform", check_bihom_dendriform, d)]
     n = d.dim
     cube = tuple(tuple(vec_sub(d.succ.basis_product(i, j),
                                d.prec.basis_product(j, i))
@@ -166,21 +206,23 @@ def dendriform_circ(d: BiHomDendriform) -> HomPreLie:
     return HomPreLie(BilinearOp(cube), d.alpha)
 
 
+@_construction
 def dendriform_from_paren_rb(m: BilinearOp, sigma: LinearMap, tau: LinearMap,
                              R: LinearMap) -> BiHomDendriform:
     """Split an associative product along a (sigma,tau)-Rota-Baxter operator:
     a < b = a tau(R(b)), a > b = sigma(R(a)) b.  Classical output (identity
     structure maps)."""
-    _require(check_classical_associative(m), "m-associative")
-    _require(is_algebra_map(sigma, m), "sigma-algebra-map")
-    _require(is_algebra_map(tau, m), "tau-algebra-map")
-    _require(check_rota_baxter(R, m, ParenRB(sigma, tau)), "paren-rota-baxter")
+    yield [("m-associative", check_classical_associative, m),
+           ("sigma-algebra-map", is_algebra_map, sigma, m),
+           ("tau-algebra-map", is_algebra_map, tau, m)]
+    yield [("paren-rota-baxter", check_rota_baxter, R, m, ParenRB(sigma, tau))]
     ident = LinearMap.identity(m.dim)
     prec = _twisted_product(m, ident, compose(tau, R))
     succ = _twisted_product(m, compose(sigma, R), ident)
     return BiHomDendriform(prec, succ, ident, ident)
 
 
+@_construction
 def simprop_dendriform(a: BiHomAlgebra, sigma: LinearMap, tau: LinearMap,
                        eta: LinearMap | None, R: LinearMap) -> BiHomDendriform:
     """Split a twisted-associative product along a brace-type Rota-Baxter
@@ -191,18 +233,18 @@ def simprop_dendriform(a: BiHomAlgebra, sigma: LinearMap, tau: LinearMap,
     sigma/tau/eta algebra maps, the brace identity for R, then pairwise
     commutation of all six maps.  eta defaults to the identity.
     """
-    n = a.dim
     if eta is None:
-        eta = LinearMap.identity(n)
-    _require(check_bihom_associative(a), "bihom-associative")
-    _require(is_algebra_map(sigma, a.mu), "sigma-algebra-map")
-    _require(is_algebra_map(tau, a.mu), "tau-algebra-map")
-    _require(is_algebra_map(eta, a.mu), "eta-algebra-map")
-    _require(check_rota_baxter(R, a.mu, BraceRB(sigma, tau)), "brace-rota-baxter")
+        eta = LinearMap.identity(a.dim)
+    yield [("bihom-associative", check_bihom_associative, a),
+           ("sigma-algebra-map", is_algebra_map, sigma, a.mu),
+           ("tau-algebra-map", is_algebra_map, tau, a.mu),
+           ("eta-algebra-map", is_algebra_map, eta, a.mu)]
     named = [("alpha", a.alpha), ("beta", a.beta), ("sigma", sigma),
              ("tau", tau), ("eta", eta), ("R", R)]
-    for (name1, f), (name2, g) in itertools.combinations(named, 2):
-        _require(maps_commute(f, g), f"commute({name1},{name2})")
+    commute = [(f"commute({name1},{name2})", f, g) for (name1, f), (name2, g)
+               in itertools.combinations(named, 2)]
+    yield [("brace-rota-baxter", check_rota_baxter, R, a.mu, BraceRB(sigma, tau)),
+           *((law, _commutation_verdict, f, g, law) for law, f, g in commute)]
     taueta = compose(tau, eta)
     return BiHomDendriform(_twisted_product(a.mu, sigma, compose(R, eta)),
                            _twisted_product(a.mu, R, taueta),
@@ -210,26 +252,28 @@ def simprop_dendriform(a: BiHomAlgebra, sigma: LinearMap, tau: LinearMap,
                            compose(a.beta, taueta))
 
 
+@_construction
 def moregendend_triple(h: HomAlgebra, n: int, R: LinearMap
                        ) -> tuple[BiHomDendriform, HomAlgebra, HomPreLie]:
     """From an alpha^n-Rota-Baxter operator on a Hom-associative algebra,
     build the split pair x < y = a^n(x)R(y), x > y = R(x)a^n(y) with map
     alpha^(n+1), plus its sum product and circ product."""
-    _require(check_bihom_associative(h.as_bihom()), "hom-associative")
-    _require(check_rota_baxter(R, h.mu, AlphaPowerRB(h.alpha, n)),
-             "alpha-power-rota-baxter")
+    yield [("hom-associative", check_bihom_associative, h.as_bihom()),
+           ("alpha-power-rota-baxter", check_rota_baxter, R, h.mu,
+            AlphaPowerRB(h.alpha, n))]
     an = power(h.alpha, n)
     dend = simprop_dendriform(h.as_bihom(), an, an, None, R)
     total = dendriform_sum(dend)
-    circ = dendriform_circ(dend)
+    circ = dendriform_circ.build(dend)  # the sum checked the dendriform laws
     return dend, HomAlgebra(total.mu, total.alpha), circ
 
 
+@_construction
 def analoglie_prelie(l: HomLie, n: int, R: LinearMap) -> HomPreLie:
     """a . b = [R(a), alpha^n(b)] with structure map alpha^(n+1)."""
-    _require(check_hom_lie(l), "hom-lie")
-    _require(check_rota_baxter(R, l.bracket, LieAlphaPowerRB(l.alpha, n)),
-             "lie-rota-baxter")
+    yield [("hom-lie", check_hom_lie, l)]
+    yield [("lie-rota-baxter", check_rota_baxter, R, l.bracket,
+            LieAlphaPowerRB(l.alpha, n))]
     return HomPreLie(_twisted_product(l.bracket, R, power(l.alpha, n)),
                      power(l.alpha, n + 1))
 
@@ -270,6 +314,7 @@ def aybe_residue(a: BiHomAlgebra, r: Tensor2) -> Tensor3:
     return Tensor3(tensor_sum(a.dim, 3, terms))
 
 
+@_construction
 def abrb_operator(a: BiHomAlgebra, r: Tensor2) -> LinearMap:
     """The operator induced by a Yang-Baxter solution.
 
@@ -284,8 +329,8 @@ def abrb_operator(a: BiHomAlgebra, r: Tensor2) -> LinearMap:
     """
     from .structures import check_aybe
 
-    _require(check_bihom_associative(a), "bihom-associative")
-    _require(check_aybe(a, r), "yang-baxter-solution")
+    yield [("bihom-associative", check_bihom_associative, a)]
+    yield [("yang-baxter-solution", check_aybe, a, r)]
     d = a.dim
     mu, al, be = a.mu, a.alpha, a.beta
     b3 = power(be, 3)
@@ -310,6 +355,7 @@ def abrb_operator(a: BiHomAlgebra, r: Tensor2) -> LinearMap:
     return LinearMap.from_columns(cols1)
 
 
+@_construction
 def delta_r(h: HomAlgebra, r: Tensor2) -> Comultiplication:
     """Principal comultiplication of a Yang-Baxter solution:
     Delta(b) = sum alpha(x_i) (x) y_i b - sum b x_i (x) alpha(y_i).
@@ -319,7 +365,7 @@ def delta_r(h: HomAlgebra, r: Tensor2) -> Comultiplication:
     """
     from .structures import check_aybe
 
-    _require(check_aybe(h.as_bihom(), r), "yang-baxter-solution")
+    yield [("yang-baxter-solution", check_aybe, h.as_bihom(), r)]
     mu = h.mu
     al_cols = list(zip(*h.alpha.entries))
     pairs = nonzero_entries(r.coeffs)           # x_i (x) y_i = e_p (x) e_q
@@ -335,20 +381,22 @@ def delta_r(h: HomAlgebra, r: Tensor2) -> Comultiplication:
 # Pre-Lie products from bialgebra data
 # ---------------------------------------------------------------------------
 
+@_construction
 def gengd_novikov(h: HomAlgebra, k: int, D: LinearMap) -> HomPreLie:
     """x . y = alpha^k(x) D(y) on a commutative Hom-associative algebra with
     an alpha^k-derivation D; the result carries structure map alpha^(k+1)."""
-    _require(check_bihom_associative(h.as_bihom()), "hom-associative")
-    _require(is_commutative(h.mu), "mu-commutative")
-    _require(check_derivation(D, h.mu, AlphaPowerDerivation(h.alpha, k)),
-             "alpha-power-derivation")
+    yield [("hom-associative", check_bihom_associative, h.as_bihom()),
+           ("mu-commutative", is_commutative, h.mu),
+           ("alpha-power-derivation", check_derivation, D, h.mu,
+            AlphaPowerDerivation(h.alpha, k))]
     return HomPreLie(_twisted_product(h.mu, power(h.alpha, k), D),
                      power(h.alpha, k + 1))
 
 
+@_construction
 def mu_delta_map(b: InfHomBialgebra) -> LinearMap:
     """D = mu o Delta, the contraction of the coproduct."""
-    _require(check_inf_hom_bialgebra(b), "inf-hom-bialgebra")
+    yield [("inf-hom-bialgebra", check_inf_hom_bialgebra, b)]
     return LinearMap.from_columns([tensor_sum(b.dim, 1, [
         # Delta[i][j][k] e_j e_k
         (c, b.mu.basis_product(j, k))
@@ -356,10 +404,11 @@ def mu_delta_map(b: InfHomBialgebra) -> LinearMap:
         for image in b.delta.cube])
 
 
+@_construction
 def infprelie_bullet(b: InfHomBialgebra) -> HomPreLie:
     """x . y = alpha(y_1)(alpha(x) y_2) = (y_1 alpha(x)) alpha(y_2), with
     structure map alpha^3.  Both splittings are computed and must agree."""
-    _require(check_inf_hom_bialgebra(b), "inf-hom-bialgebra")
+    yield [("inf-hom-bialgebra", check_inf_hom_bialgebra, b)]
     d = b.dim
     mu, al = b.mu, b.alpha
     al_cols = list(zip(*al.entries))
@@ -380,9 +429,8 @@ def infprelie_bullet(b: InfHomBialgebra) -> HomPreLie:
     return HomPreLie(BilinearOp(cube1), power(al, 3))
 
 
+@_construction
 def aguiar_bullet(b: InfHomBialgebra) -> HomPreLie:
     """Classical case of the bullet product: a . b = b_1 a b_2 (alpha = id)."""
-    if not b.alpha.is_identity():
-        raise PreconditionError("classical-inf-bialgebra",
-                                "structure map must be the identity")
-    return infprelie_bullet(b)
+    yield [("classical-inf-bialgebra", b.alpha.is_identity)]
+    return (yield from infprelie_bullet.steps(b))

@@ -18,7 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .constructions import InternalInconsistencyError
+from .constructions import (
+    InternalInconsistencyError,
+    PreconditionError,
+    _construction,
+    _post_product,
+    yau_twist_assoc,
+)
 from .exactlin import (
     BilinearOp,
     Comultiplication,
@@ -46,6 +52,7 @@ from .structures import (
     ParenRB,
     RBKind,
     TauSigmaDerivation,
+    _relabel,
     check_aybe,
     check_bihom_associative,
     check_derivation,
@@ -493,8 +500,6 @@ def twist_factory(base: CatalogueEntry, maps: tuple[LinearMap, ...]):
     """Deform a catalogue entry by structure maps, returning a validated
     twisted bundle (the guaranteed source of examples with non-identity
     structure maps)."""
-    from .constructions import PreconditionError, yau_twist_assoc
-
     if base.kind == "algebra":
         if len(maps) != 2:
             raise ValueError("algebra twists need a pair of maps")
@@ -506,24 +511,20 @@ def twist_factory(base: CatalogueEntry, maps: tuple[LinearMap, ...]):
     if base.kind == "inf-bialgebra":
         if len(maps) not in (1, 2) or (len(maps) == 2 and maps[0] != maps[1]):
             raise ValueError("bialgebra twists need a single structure map")
-        al = maps[0]
-        b: InfHomBialgebra = base.structure
-        if not b.alpha.is_identity():
-            raise PreconditionError("classical-base",
-                                    "only classical entries can be twisted")
-        v = is_algebra_map(al, b.mu)
-        if not v.passed:
-            raise PreconditionError("alpha-algebra-map")
-        v = is_coalgebra_map(al, b.delta)
-        if not v.passed:
-            raise PreconditionError("alpha-coalgebra-map",
-                                    f"fails at basis index {v.witness.indices[0]}")
-        from .constructions import _post_product
-        new_mu = _post_product(al, b.mu)
-        new_delta = compose_delta(b.delta, al)
-        twisted = InfHomBialgebra(new_mu, new_delta, al)
-        v = check_inf_hom_bialgebra(twisted)
-        if not v.passed:
-            raise PreconditionError("twist-valid", f"fails {v.law}")
-        return twisted
+        return _twist_bialgebra(base.structure, maps[0])
     raise ValueError(f"cannot twist a {base.kind} entry")
+
+
+@_construction
+def _twist_bialgebra(b: InfHomBialgebra, al: LinearMap) -> InfHomBialgebra:
+    """(al o mu, Delta o al, al) from a classical infinitesimal bialgebra."""
+    yield [("classical-base", b.alpha.is_identity),
+           ("alpha-algebra-map", is_algebra_map, al, b.mu)]
+    yield [("alpha-coalgebra-map", lambda: _relabel(
+        is_coalgebra_map(al, b.delta), "alpha-coalgebra-map"))]
+    twisted = InfHomBialgebra(_post_product(al, b.mu),
+                              compose_delta(b.delta, al), al)
+    v = check_inf_hom_bialgebra(twisted)
+    if not v.passed:
+        raise PreconditionError("twist-valid", f"fails {v.law}")
+    return twisted

@@ -3,7 +3,9 @@
 A pipeline first checks every hypothesis explicitly (sub-verdicts named
 ``hypothesis:*``); conclusions (``conclusion:*``) only run once all
 hypotheses hold, so a report can never claim a vacuous pass.  A failed
-hypothesis yields a report naming it, not a crash.
+hypothesis yields a report naming it, not a crash.  A construction's
+hypotheses are recorded from its own steps, which then build; ``.build`` is
+used only where the report holds the same verdicts already.
 
 ``catalogue_instances`` generates the instances used by ``--all-catalogue``
 from the built-in examples plus small certified searches.
@@ -30,6 +32,7 @@ from .constructions import (
     infprelie_bullet,
     moregendend_triple,
     mu_delta_map,
+    run_steps,
     simprop_dendriform,
     yau_twist_assoc,
     yau_twist_dendriform,
@@ -39,6 +42,7 @@ from .discovery import (
     AybeTarget,
     RBTarget,
     SearchSpec,
+    _twist_bialgebra,
     catalogue_entry,
     search,
     twist_factory,
@@ -53,7 +57,6 @@ from .exactlin import (
     compose,
     invert,
     is_algebra_map,
-    is_coalgebra_map,
     map_tensor2,
     maps_commute,
     power,
@@ -68,22 +71,19 @@ from .structures import (
     HomAlgebra,
     HomLie,
     InfHomBialgebra,
-    LieAlphaPowerRB,
     ParenRB,
     TauSigmaDerivation,
-    check_aybe,
     check_bihom_associative,
     check_bihom_dendriform,
     check_classical_associative,
     check_derivation,
-    check_hom_lie,
     check_hom_novikov,
     check_hom_prelie,
     check_inf_hom_bialgebra,
     check_rota_baxter,
     is_commutative,
 )
-from .structures import _commutation_verdict, _pair_identity, _relabel
+from .structures import _commutation_verdict, _pair_identity
 
 
 THEOREM_IDS = tuple(f"T{i}" for i in range(1, 13))
@@ -124,6 +124,10 @@ class _Pipeline:
             self.hypotheses_ok = False
         return verdict.passed
 
+    def construct(self, steps):
+        """Record the hypotheses of ``steps``; what they build, or None."""
+        return run_steps(steps, self.hypothesis)
+
     def conclusion(self, name: str, verdict: CheckVerdict | bool) -> None:
         self.items.append((f"conclusion:{name}", _as_verdict(verdict, name)))
 
@@ -156,13 +160,8 @@ def _equiv_verdict(law: str, a: CheckVerdict, b: CheckVerdict) -> CheckVerdict:
 def run_t1(m: BilinearOp, alpha: LinearMap, beta: LinearMap,
            desc: str = "") -> TheoremReport:
     p = _Pipeline("T1", desc)
-    p.hypothesis("m-associative", check_classical_associative(m))
-    p.hypothesis("alpha-algebra-map", is_algebra_map(alpha, m))
-    p.hypothesis("beta-algebra-map", is_algebra_map(beta, m))
-    p.hypothesis("alpha-beta-commute",
-                 _commutation_verdict(alpha, beta, "alpha-beta-commute"))
+    twisted = p.construct(yau_twist_assoc.steps(m, alpha, beta))
     if p.hypotheses_ok:
-        twisted = yau_twist_assoc(m, alpha, beta)
         p.conclusion("twist-bihom-associative", check_bihom_associative(twisted))
     return p.report()
 
@@ -173,11 +172,12 @@ def run_t1(m: BilinearOp, alpha: LinearMap, beta: LinearMap,
 
 def run_t2(d: BiHomDendriform, desc: str = "") -> TheoremReport:
     p = _Pipeline("T2", desc)
-    if p.hypothesis("dendriform", check_bihom_dendriform(d)):
-        p.conclusion("sum-bihom-associative",
-                     check_bihom_associative(dendriform_sum(d)))
+    total = p.construct(dendriform_sum.steps(d))
+    if p.hypotheses_ok:
+        p.conclusion("sum-bihom-associative", check_bihom_associative(total))
         if d.alpha == d.beta:
-            p.conclusion("circ-hom-prelie", check_hom_prelie(dendriform_circ(d)))
+            p.conclusion("circ-hom-prelie",
+                         check_hom_prelie(dendriform_circ.build(d)))
     return p.report()
 
 
@@ -188,15 +188,8 @@ def run_t2(d: BiHomDendriform, desc: str = "") -> TheoremReport:
 def run_t3(m: BilinearOp, sigma: LinearMap, tau: LinearMap, R: LinearMap,
            desc: str = "") -> TheoremReport:
     p = _Pipeline("T3", desc)
-    p.hypothesis("m-associative", check_classical_associative(m))
-    p.hypothesis("sigma-algebra-map", is_algebra_map(sigma, m))
-    p.hypothesis("tau-algebra-map", is_algebra_map(tau, m))
-    if not p.hypotheses_ok:
-        return p.report()
-    p.hypothesis("paren-rota-baxter",
-                 check_rota_baxter(R, m, ParenRB(sigma, tau)))
+    dend = p.construct(dendriform_from_paren_rb.steps(m, sigma, tau, R))
     if p.hypotheses_ok:
-        dend = dendriform_from_paren_rb(m, sigma, tau, R)
         p.conclusion("dendriform", check_bihom_dendriform(dend))
     return p.report()
 
@@ -289,27 +282,16 @@ def run_t7(a: BiHomAlgebra, sigma: LinearMap, tau: LinearMap,
     p = _Pipeline("T7", desc)
     if eta is None:
         eta = LinearMap.identity(a.dim)
-    p.hypothesis("bihom-associative", check_bihom_associative(a))
-    p.hypothesis("sigma-algebra-map", is_algebra_map(sigma, a.mu))
-    p.hypothesis("tau-algebra-map", is_algebra_map(tau, a.mu))
-    p.hypothesis("eta-algebra-map", is_algebra_map(eta, a.mu))
+    dend = p.construct(simprop_dendriform.steps(a, sigma, tau, eta, R))
     if not p.hypotheses_ok:
         return p.report()
-    p.hypothesis("brace-rota-baxter",
-                 check_rota_baxter(R, a.mu, BraceRB(sigma, tau)))
-    named = [("alpha", a.alpha), ("beta", a.beta), ("sigma", sigma),
-             ("tau", tau), ("eta", eta), ("R", R)]
-    for (n1, f), (n2, g) in itertools.combinations(named, 2):
-        p.hypothesis(f"commute({n1},{n2})",
-                     _commutation_verdict(f, g, f"commute({n1},{n2})"))
-    if not p.hypotheses_ok:
-        return p.report()
-    dend = simprop_dendriform(a, sigma, tau, eta, R)
-    p.conclusion("dendriform", check_bihom_dendriform(dend))
+    split = check_bihom_dendriform(dend)
+    p.conclusion("dendriform", split)
     if a.alpha.is_identity() and a.beta.is_identity() and eta.is_identity():
         # identity-twist case: R is additionally a morphism from the sum
-        # product into the twist of the original product by (sigma, tau)
-        total = dendriform_sum(dend)
+        # product into the twist of the original product by (sigma, tau);
+        # the sum is checked (and raises) only if "dendriform" failed
+        total = (dendriform_sum.build if split.passed else dendriform_sum)(dend)
         target = _twisted_product(a.mu, sigma, tau)
         p.conclusion("rb-morphism-into-twist", _pair_identity(
             a.dim,
@@ -325,13 +307,8 @@ def run_t7(a: BiHomAlgebra, sigma: LinearMap, tau: LinearMap,
 
 def run_t8(l: HomLie, n: int, R: LinearMap, desc: str = "") -> TheoremReport:
     p = _Pipeline("T8", desc)
-    p.hypothesis("hom-lie", check_hom_lie(l))
-    if not p.hypotheses_ok:
-        return p.report()
-    p.hypothesis("lie-rota-baxter",
-                 check_rota_baxter(R, l.bracket, LieAlphaPowerRB(l.alpha, n)))
+    prelie = p.construct(analoglie_prelie.steps(l, n, R))
     if p.hypotheses_ok:
-        prelie = analoglie_prelie(l, n, R)
         p.conclusion("hom-prelie", check_hom_prelie(prelie))
         p.conclusion("structure-map-power",
                      prelie.alpha == power(l.alpha, n + 1))
@@ -363,13 +340,9 @@ def _exp_map(alpha: LinearMap, beta: LinearMap, exps: tuple[int, int]) -> Linear
 
 def run_t9(a: BiHomAlgebra, r: Tensor2, desc: str = "") -> TheoremReport:
     p = _Pipeline("T9", desc)
-    p.hypothesis("bihom-associative", check_bihom_associative(a))
+    R = p.construct(abrb_operator.steps(a, r))  # asserts the closed forms agree
     if not p.hypotheses_ok:
         return p.report()
-    p.hypothesis("yang-baxter-solution", check_aybe(a, r))
-    if not p.hypotheses_ok:
-        return p.report()
-    R = abrb_operator(a, r)  # asserts both closed forms agree
     p.conclusion("closed-forms-agree", True)
     p.conclusion("commutes-with-alpha",
                  _commutation_verdict(R, a.alpha, "commutes-with-alpha"))
@@ -395,13 +368,12 @@ def run_t9(a: BiHomAlgebra, r: Tensor2, desc: str = "") -> TheoremReport:
 
 def run_t10(b: InfHomBialgebra, desc: str = "") -> TheoremReport:
     p = _Pipeline("T10", desc)
-    p.hypothesis("inf-hom-bialgebra", check_inf_hom_bialgebra(b))
+    D = p.construct(mu_delta_map.steps(b))
     if not p.hypotheses_ok:
         return p.report()
-    D = mu_delta_map(b)
     p.conclusion("mu-delta-alpha-square-derivation",
                  check_derivation(D, b.mu, AlphaPowerDerivation(b.alpha, 2)))
-    bullet = infprelie_bullet(b)  # asserts both closed forms agree
+    bullet = infprelie_bullet.build(b)  # asserts both closed forms agree
     p.conclusion("bullet-closed-forms-agree", True)
     p.conclusion("bullet-hom-prelie", check_hom_prelie(bullet))
     p.conclusion("bullet-structure-map-cubed",
@@ -418,23 +390,22 @@ def run_t10(b: InfHomBialgebra, desc: str = "") -> TheoremReport:
 # T11 -- the bullet construction commutes with twisting
 # ---------------------------------------------------------------------------
 
+def _t11_steps(b: InfHomBialgebra, alpha: LinearMap):
+    """The twist's steps, with the base's own laws after classical-base."""
+    twist = _twist_bialgebra.steps(b, alpha)
+    classical, *rest = next(twist)
+    yield [classical, ("inf-bialgebra", check_inf_hom_bialgebra, b), *rest]
+    return (yield from twist)
+
+
 def run_t11(b: InfHomBialgebra, alpha: LinearMap, desc: str = "") -> TheoremReport:
     p = _Pipeline("T11", desc)
-    p.hypothesis("classical-base", b.alpha.is_identity())
-    p.hypothesis("inf-bialgebra", check_inf_hom_bialgebra(b))
-    p.hypothesis("alpha-algebra-map", is_algebra_map(alpha, b.mu))
+    twisted = p.construct(_t11_steps(b, alpha))  # raises on an invalid twist
     if not p.hypotheses_ok:
         return p.report()
-    p.hypothesis("alpha-coalgebra-map", _relabel(
-        is_coalgebra_map(alpha, b.delta), "alpha-coalgebra-map"))
-    if not p.hypotheses_ok:
-        return p.report()
-    from .discovery import CatalogueEntry
-    base = CatalogueEntry("adhoc", "inf-bialgebra", b, "instance under test")
-    twisted = twist_factory(base, (alpha,))
     p.conclusion("twist-inf-hom-bialgebra", check_inf_hom_bialgebra(twisted))
-    bullet_twist = infprelie_bullet(twisted)
-    classical = aguiar_bullet(b)
+    bullet_twist = infprelie_bullet.build(twisted)
+    classical = aguiar_bullet.build(b)
     expected = _post_product(power(alpha, 3), classical.mu)
     p.conclusion("bullet-of-twist-is-twisted-bullet",
                  bilinear_equal(bullet_twist.mu, expected))
@@ -447,13 +418,10 @@ def run_t11(b: InfHomBialgebra, alpha: LinearMap, desc: str = "") -> TheoremRepo
 
 def run_t12(h: HomAlgebra, r: Tensor2, desc: str = "") -> TheoremReport:
     p = _Pipeline("T12", desc)
-    p.hypothesis("hom-associative", check_bihom_associative(h.as_bihom()))
+    if p.hypothesis("hom-associative", check_bihom_associative(h.as_bihom())):
+        delta = p.construct(delta_r.steps(h, r))
     if not p.hypotheses_ok:
         return p.report()
-    p.hypothesis("yang-baxter-solution", check_aybe(h.as_bihom(), r))
-    if not p.hypotheses_ok:
-        return p.report()
-    delta = delta_r(h, r)
     b = InfHomBialgebra(h.mu, delta, h.alpha)
     # quasitriangularity postulates this; it is validated per instance and
     # reported as a hypothesis when it fails rather than assumed
@@ -461,8 +429,9 @@ def run_t12(h: HomAlgebra, r: Tensor2, desc: str = "") -> TheoremReport:
                  check_inf_hom_bialgebra(b))
     if not p.hypotheses_ok:
         return p.report()
-    bullet = infprelie_bullet(b)
-    R = abrb_operator(h.as_bihom(), r)
+    bullet = infprelie_bullet.build(b)
+    # hom-associative and yang-baxter-solution are abrb_operator's hypotheses
+    R = abrb_operator.build(h.as_bihom(), r)
     p.conclusion("induced-operator-alpha-square-rb",
                  check_rota_baxter(R, h.mu, AlphaPowerRB(h.alpha, 2)))
     _, _, circ = moregendend_triple(h, 2, R)

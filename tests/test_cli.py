@@ -267,6 +267,41 @@ class TestVerifyTheorem:
         code, _, err = run(capsys, "verify-theorem", "T9")
         assert code == 2
 
+    def test_all_catalogue_rejects_files(self, capsys, export):
+        code, out, err = run(capsys, "verify-theorem", "T10", export("n2"),
+                             "no-such.json", "--all-catalogue")
+        assert code == 2 and out == ""
+        assert err == "error: --all-catalogue takes no instance files\n"
+
+
+class TestEtaFile:
+    """A bad ``--eta`` file is named like a positional one."""
+
+    @pytest.fixture()
+    def files(self, export, tmp_path):
+        from bihomcheck.exactlin import LinearMap
+        from bihomcheck.serialize import doc_from_linear_map
+        ident = tmp_path / "id2.json"
+        dump_path(doc_from_linear_map(LinearMap.identity(2)), str(ident))
+        return export("n2"), str(ident)
+
+    def test_verify_theorem(self, capsys, files):
+        n2, ident = files
+        code, out, err = run(capsys, "verify-theorem", "T7", n2, ident, ident,
+                             ident, "--eta", n2)
+        assert code == 2 and out == ""
+        assert err == ("document error: /kind: expected linear-map, got "
+                       f"'algebra' (--eta: {n2})\n")
+
+    def test_construct(self, capsys, files, tmp_path):
+        n2, ident = files
+        out_path = tmp_path / "split.json"
+        code, out, err = run(capsys, "construct", "simprop", n2, ident, ident,
+                             ident, "--eta", n2, "-o", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == ("document error: /kind: expected linear-map, got "
+                       f"'algebra' (--eta: {n2})\n")
+
 
 class TestUnusedFlags:
     def test_recipe_rejects_flag_it_does_not_read(self, capsys, export,

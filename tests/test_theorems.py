@@ -1,10 +1,35 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from bihomcheck import constructions, structures, theorems
+from bihomcheck.constructions import (
+    PreconditionError,
+    abrb_operator,
+    analoglie_prelie,
+    delta_r,
+    dendriform_from_paren_rb,
+    dendriform_sum,
+    infprelie_bullet,
+    moregendend_triple,
+    mu_delta_map,
+    simprop_dendriform,
+    yau_twist_assoc,
+)
 from bihomcheck.discovery import catalogue_entry
-from bihomcheck.exactlin import LinearMap, Tensor2
-from bihomcheck.structures import HomAlgebra
+from bihomcheck.exactlin import (
+    BilinearOp,
+    Comultiplication,
+    LinearMap,
+    Tensor2,
+)
+from bihomcheck.structures import (
+    BiHomDendriform,
+    HomAlgebra,
+    HomLie,
+    InfHomBialgebra,
+)
 from bihomcheck.theorems import (
     THEOREM_IDS,
     catalogue_instances,
@@ -93,3 +118,95 @@ class TestFullCatalogueRuns:
             failing = [(n, v.witness) for n, v in report.sub_verdicts
                        if not v.passed]
             assert report.passed, f"{tid} [{desc}] failed: {failing}"
+
+
+def _broken_instances():
+    """(theorem, failed hypothesis, sub-verdicts recorded, arguments,
+    construction): each instance breaks one hypothesis and keeps the earlier
+    ones; the construction is called with the pipeline's arguments."""
+    n2, na2, dx2, m2 = (catalogue_entry(e).structure
+                        for e in ("n2", "na2", "dx2", "m2"))
+    sgn = catalogue_entry("sgn").structure
+    id2, id4, zero2 = LinearMap.identity(2), LinearMap.identity(4), diag(0, 0)
+    stretch = diag(1, 2)                 # not an algebra map of n2
+    shear = LinearMap([[1, 0], [1, 1]])  # an algebra map of n2, not sgn's
+    e12 = (F(0), F(1), F(0), F(0))
+    sandwich = LinearMap.from_columns([  # a -> e12 a e12 on m2
+        m2.mu.apply(e12, m2.mu.apply(tuple(F(t == j) for t in range(4)), e12))
+        for j in range(4)])
+    swap_conj = LinearMap([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0],
+                           [1, 0, 0, 0]])
+    bracket = BilinearOp([[[m2.mu.cube[i][j][k] - m2.mu.cube[j][i][k]
+                            for k in range(4)] for j in range(4)]
+                          for i in range(4)])
+    unit_r = Tensor2.from_pairs(2, {(0, 0): 1})   # not a solution on dx2
+    bad_bialgebra = InfHomBialgebra(na2.mu, Comultiplication.zero(2), id2)
+    return [
+        ("T1", "m-associative", 4, (na2.mu, id2, id2), yau_twist_assoc),
+        ("T1", "alpha-algebra-map", 4, (n2.mu, stretch, id2), yau_twist_assoc),
+        ("T1", "beta-algebra-map", 4, (n2.mu, id2, stretch), yau_twist_assoc),
+        ("T1", "alpha-beta-commute", 4, (n2.mu, sgn, shear), yau_twist_assoc),
+        ("T2", "dendriform", 1, (BiHomDendriform(m2.mu, m2.mu, id4, id4),),
+         dendriform_sum),
+        ("T3", "m-associative", 3, (na2.mu, id2, id2, zero2),
+         dendriform_from_paren_rb),
+        ("T3", "sigma-algebra-map", 3, (n2.mu, stretch, id2, zero2),
+         dendriform_from_paren_rb),
+        ("T3", "tau-algebra-map", 3, (n2.mu, id2, stretch, zero2),
+         dendriform_from_paren_rb),
+        ("T3", "paren-rota-baxter", 4, (dx2.mu, id2, id2, id2),
+         dendriform_from_paren_rb),
+        ("T7", "bihom-associative", 4, (na2, id2, id2, None, zero2),
+         simprop_dendriform),
+        ("T7", "sigma-algebra-map", 4, (n2, stretch, id2, None, zero2),
+         simprop_dendriform),
+        ("T7", "tau-algebra-map", 4, (n2, id2, stretch, None, zero2),
+         simprop_dendriform),
+        ("T7", "eta-algebra-map", 4, (n2, id2, id2, stretch, zero2),
+         simprop_dendriform),
+        ("T7", "brace-rota-baxter", 20, (dx2, id2, id2, None, id2),
+         simprop_dendriform),
+        ("T7", "commute(sigma,R)", 20, (m2, swap_conj, id4, None, sandwich),
+         simprop_dendriform),
+        ("T8", "hom-lie", 1, (HomLie(na2.mu, id2), 0, zero2),
+         analoglie_prelie),
+        ("T8", "lie-rota-baxter", 2, (HomLie(bracket, id4), 0, id4),
+         analoglie_prelie),
+        ("T9", "bihom-associative", 1, (na2, Tensor2.zero(2)), abrb_operator),
+        ("T9", "yang-baxter-solution", 2, (dx2, unit_r), abrb_operator),
+        ("T10", "inf-hom-bialgebra", 1, (bad_bialgebra,), mu_delta_map),
+        ("T10", "inf-hom-bialgebra", 1, (bad_bialgebra,), infprelie_bullet),
+        ("T12", "hom-associative", 1,
+         (HomAlgebra(na2.mu, id2), Tensor2.zero(2)),
+         lambda h, r: moregendend_triple(h, 2, zero2)),
+        ("T12", "yang-baxter-solution", 2, (HomAlgebra(dx2.mu, id2), unit_r),
+         delta_r),
+    ]
+
+
+class TestConstructionAgreement:
+    """A construction and the pipeline that records its hypotheses name the
+    same failed hypothesis."""
+
+    @pytest.mark.parametrize("index", range(len(_broken_instances())))
+    def test_same_failed_hypothesis(self, index):
+        tid, name, recorded, args, construction = _broken_instances()[index]
+        report = theorems._RUNNERS[tid](*args)
+        assert report.failed_hypothesis == f"hypothesis:{name}"
+        # the rest of the failed list is recorded, then nothing
+        assert len(report.sub_verdicts) == recorded
+        with pytest.raises(PreconditionError) as exc:
+            construction(*args)
+        assert exc.value.hypothesis == name
+
+    def test_t7_checks_associativity_once(self):
+        kwargs, _ = catalogue_instances("T7")[0]
+        counter = mock.Mock(wraps=structures.check_bihom_associative)
+        with mock.patch.object(structures, "check_bihom_associative",
+                               counter), \
+                mock.patch.object(constructions, "check_bihom_associative",
+                                  counter), \
+                mock.patch.object(theorems, "check_bihom_associative",
+                                  counter):
+            assert verify_theorem("T7", **kwargs).passed
+        assert counter.call_count == 1
