@@ -335,6 +335,14 @@ def _run_catalogue(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _exponent(text: str) -> int:
+    """argparse type of -n and -k: a nonnegative int."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bihomcheck",
@@ -353,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("-o", "--output", required=True,
                        help="output file (prefix for moregendend)")
     p_con.add_argument("--eta", help="optional eta map file (simprop)")
-    p_con.add_argument("-n", type=int, default=0,
+    p_con.add_argument("-n", type=_exponent, default=0,
                        help="power of the structure map (moregendend/analoglie)")
-    p_con.add_argument("-k", type=int, default=0,
+    p_con.add_argument("-k", type=_exponent, default=0,
                        help="derivation twist exponent (gengd)")
     p_con.add_argument("--negate-r", action="store_true",
                        help="use the opposite sign convention for r (delta-r)")
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--all-catalogue", action="store_true",
                        help="run on every generated catalogue instance")
     p_ver.add_argument("--eta", help="optional eta map file (T7)")
-    p_ver.add_argument("-n", type=int, default=0, help="power exponent (T8)")
+    p_ver.add_argument("-n", type=_exponent, default=0, help="power exponent (T8)")
     p_ver.add_argument("--negate-r", action="store_true",
                        help="use the opposite sign convention for r (T12)")
     p_ver.set_defaults(func=_run_verify)

@@ -56,6 +56,7 @@ from .structures import (
     check_inf_hom_bialgebra,
     check_rota_baxter,
     is_commutative,
+    kind_law,
 )
 
 
@@ -215,7 +216,7 @@ def dendriform_from_paren_rb(m: BilinearOp, sigma: LinearMap, tau: LinearMap,
     yield [("m-associative", check_classical_associative, m),
            ("sigma-algebra-map", is_algebra_map, sigma, m),
            ("tau-algebra-map", is_algebra_map, tau, m)]
-    yield [("paren-rota-baxter", check_rota_baxter, R, m, ParenRB(sigma, tau))]
+    yield [("paren-rota-baxter", kind_law, R, m, ParenRB(sigma, tau))]
     ident = LinearMap.identity(m.dim)
     prec = _twisted_product(m, ident, compose(tau, R))
     succ = _twisted_product(m, compose(sigma, R), ident)
@@ -243,7 +244,7 @@ def simprop_dendriform(a: BiHomAlgebra, sigma: LinearMap, tau: LinearMap,
              ("tau", tau), ("eta", eta), ("R", R)]
     commute = [(f"commute({name1},{name2})", f, g) for (name1, f), (name2, g)
                in itertools.combinations(named, 2)]
-    yield [("brace-rota-baxter", check_rota_baxter, R, a.mu, BraceRB(sigma, tau)),
+    yield [("brace-rota-baxter", kind_law, R, a.mu, BraceRB(sigma, tau)),
            *((law, _commutation_verdict, f, g, law) for law, f, g in commute)]
     taueta = compose(tau, eta)
     return BiHomDendriform(_twisted_product(a.mu, sigma, compose(R, eta)),
@@ -262,7 +263,8 @@ def moregendend_triple(h: HomAlgebra, n: int, R: LinearMap
            ("alpha-power-rota-baxter", check_rota_baxter, R, h.mu,
             AlphaPowerRB(h.alpha, n))]
     an = power(h.alpha, n)
-    dend = simprop_dendriform(h.as_bihom(), an, an, None, R)
+    # the list above implies simprop's list for sigma = tau = alpha^n, eta = id
+    dend = simprop_dendriform.build(h.as_bihom(), an, an, None, R)
     total = dendriform_sum(dend)
     circ = dendriform_circ.build(dend)  # the sum checked the dendriform laws
     return dend, HomAlgebra(total.mu, total.alpha), circ
@@ -272,7 +274,7 @@ def moregendend_triple(h: HomAlgebra, n: int, R: LinearMap
 def analoglie_prelie(l: HomLie, n: int, R: LinearMap) -> HomPreLie:
     """a . b = [R(a), alpha^n(b)] with structure map alpha^(n+1)."""
     yield [("hom-lie", check_hom_lie, l)]
-    yield [("lie-rota-baxter", check_rota_baxter, R, l.bracket,
+    yield [("lie-rota-baxter", kind_law, R, l.bracket,
             LieAlphaPowerRB(l.alpha, n))]
     return HomPreLie(_twisted_product(l.bracket, R, power(l.alpha, n)),
                      power(l.alpha, n + 1))

@@ -30,28 +30,19 @@ from .exactlin import (
     Comultiplication,
     LinearMap,
     Tensor2,
-    compose,
     compose_delta,
     frac,
     is_algebra_map,
     is_coalgebra_map,
     maps_commute,
-    power,
 )
 from .structures import (
-    AlphaBetaRB,
-    AlphaPowerDerivation,
-    AlphaPowerRB,
     BiHomAlgebra,
-    BraceRB,
     DerivationKind,
     HomAlgebra,
     HomLie,
     InfHomBialgebra,
-    LieAlphaPowerRB,
-    ParenRB,
     RBKind,
-    TauSigmaDerivation,
     _relabel,
     check_aybe,
     check_bihom_associative,
@@ -93,6 +84,7 @@ class RBTarget:
 @dataclass(frozen=True)
 class DerivationTarget:
     kind: DerivationKind
+    commute_with = ()           # no constraint beyond the kind's own
 
 
 @dataclass(frozen=True)
@@ -151,31 +143,6 @@ def _slots(dim: int, support) -> list[tuple[int, int]]:
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"support entry {(i, j)} outside dimension {dim}")
     return list(support)
-
-
-def _kind_matrices(kind: RBKind | DerivationKind, dim: int
-                   ) -> tuple[LinearMap, LinearMap, list[LinearMap], str]:
-    """(left, right, extra commutation maps, kernel kind) for a search."""
-    if isinstance(kind, ParenRB):
-        return kind.sigma, kind.tau, [], "paren-rb"
-    if isinstance(kind, BraceRB):
-        return kind.sigma, kind.tau, [], "brace-rb"
-    if isinstance(kind, AlphaPowerRB):
-        an = power(kind.alpha, kind.n)
-        return an, an, [kind.alpha], "brace-rb"
-    if isinstance(kind, AlphaBetaRB):
-        ab = compose(kind.alpha, kind.beta)
-        return ab, ab, [kind.alpha, kind.beta], "brace-rb"
-    if isinstance(kind, LieAlphaPowerRB):
-        an = power(kind.alpha, kind.n)
-        return an, an, [kind.alpha], "brace-rb"
-    if isinstance(kind, TauSigmaDerivation):
-        # kernel computes D(a) T(b) + S(a) D(b)
-        return kind.sigma, kind.tau, [], "derivation"
-    if isinstance(kind, AlphaPowerDerivation):
-        ak = power(kind.alpha, kind.k)
-        return ak, ak, [kind.alpha], "derivation"
-    raise TypeError(f"unknown kind {kind!r}")
 
 
 def _ambient_product(target: SearchTarget, ambient) -> BilinearOp:
@@ -306,31 +273,18 @@ def _certifier_and_problem(spec: SearchSpec, ambient, mu: BilinearOp, slots):
                                           kernels.empty_commute(dim), slots)
         return certify, problem
 
-    if isinstance(target, RBTarget):
-        kind = target.kind
-        check_rota_baxter(LinearMap.zero(dim, dim), mu, kind)  # validate params
-        extra = target.commute_with
+    if isinstance(target, (RBTarget, DerivationTarget)):
+        kind, extra = target.kind, target.commute_with
+        check = (check_rota_baxter if isinstance(target, RBTarget)
+                 else check_derivation)
+        check(LinearMap.zero(dim, dim), mu, kind)  # validate params
 
-        def certify(R: LinearMap) -> bool:
-            if any(not maps_commute(R, m) for m in extra):
+        def certify(X: LinearMap) -> bool:
+            if any(not maps_commute(X, m) for m in extra):
                 return False
-            return check_rota_baxter(R, mu, kind).passed
+            return check(X, mu, kind).passed
 
-        left, right, comm, kkind = _kind_matrices(kind, dim)
-        problem = _twisted_problem(kkind, dim, mu_int, left, right,
-                                   list(comm) + list(extra), slots)
-        return certify, problem
-
-    if isinstance(target, DerivationTarget):
-        kind = target.kind
-        check_derivation(LinearMap.zero(dim, dim), mu, kind)  # validate params
-
-        def certify(D: LinearMap) -> bool:
-            return check_derivation(D, mu, kind).passed
-
-        left, right, comm, kkind = _kind_matrices(kind, dim)
-        problem = _twisted_problem(kkind, dim, mu_int, left, right, comm, slots)
-        return certify, problem
+        return certify, _twisted_problem(kind, dim, mu_int, extra, slots)
 
     if isinstance(target, AlgebraMapPairTarget):
 
@@ -350,21 +304,21 @@ def _certifier_and_problem(spec: SearchSpec, ambient, mu: BilinearOp, slots):
     raise TypeError(f"unknown search target {target!r}")
 
 
-def _twisted_problem(kkind: str, dim: int, mu_int, left: LinearMap,
-                     right: LinearMap, commute: list[LinearMap], slots):
+def _twisted_problem(kind: RBKind | DerivationKind, dim: int, mu_int,
+                     extra, slots):
+    """The kernel problem of a kind's identity, with the candidate commuting
+    with the kind's commutation maps and ``extra``; None unless all data is
+    integral."""
     if mu_int is None:
         return None
-    l_int, r_int = _map_to_int(left), _map_to_int(right)
-    if l_int is None or r_int is None:
+    ints = [_map_to_int(f) for f in (*kind.twists(),
+                                     *(f for _, f in kind.commutes()), *extra)]
+    if any(x is None for x in ints):
         return None
-    comm_ints = []
-    for m in commute:
-        mi = _map_to_int(m)
-        if mi is None:
-            return None
-        comm_ints.append(mi)
-    comm = (np.stack(comm_ints) if comm_ints else kernels.empty_commute(dim))
-    return kernels.GridProblem(kkind, dim, mu_int, l_int, r_int, comm, slots)
+    left, right, *comm = ints
+    return kernels.GridProblem(
+        kind.form, dim, mu_int, left, right,
+        np.stack(comm) if comm else kernels.empty_commute(dim), slots)
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +459,16 @@ def twist_factory(base: CatalogueEntry, maps: tuple[LinearMap, ...]):
             raise ValueError("algebra twists need a pair of maps")
         twisted = yau_twist_assoc(base.structure.mu, maps[0], maps[1])
         v = check_bihom_associative(twisted)
-        if not v.passed:
-            raise PreconditionError("twist-valid", f"fails {v.law}")
-        return twisted
-    if base.kind == "inf-bialgebra":
+    elif base.kind == "inf-bialgebra":
         if len(maps) not in (1, 2) or (len(maps) == 2 and maps[0] != maps[1]):
             raise ValueError("bialgebra twists need a single structure map")
-        return _twist_bialgebra(base.structure, maps[0])
-    raise ValueError(f"cannot twist a {base.kind} entry")
+        twisted = _twist_bialgebra(base.structure, maps[0])
+        v = check_inf_hom_bialgebra(twisted)
+    else:
+        raise ValueError(f"cannot twist a {base.kind} entry")
+    if not v.passed:
+        raise PreconditionError("twist-valid", f"fails {v.law}")
+    return twisted
 
 
 @_construction
@@ -522,9 +478,5 @@ def _twist_bialgebra(b: InfHomBialgebra, al: LinearMap) -> InfHomBialgebra:
            ("alpha-algebra-map", is_algebra_map, al, b.mu)]
     yield [("alpha-coalgebra-map", lambda: _relabel(
         is_coalgebra_map(al, b.delta), "alpha-coalgebra-map"))]
-    twisted = InfHomBialgebra(_post_product(al, b.mu),
-                              compose_delta(b.delta, al), al)
-    v = check_inf_hom_bialgebra(twisted)
-    if not v.passed:
-        raise PreconditionError("twist-valid", f"fails {v.law}")
-    return twisted
+    return InfHomBialgebra(_post_product(al, b.mu),
+                           compose_delta(b.delta, al), al)

@@ -8,6 +8,18 @@ whose witness is the lexicographically smallest failing tuple.
 Aggregate checkers run their constituent laws in a fixed order
 (commutation of the structure maps, multiplicativity, main axiom, unit
 laws) and report the first failure.
+
+Rota-Baxter operators and twisted derivations come in kinds.  Each kind
+describes itself once: ``parameters()`` lists its parameter maps, which
+must be algebra maps; ``twists()`` is (sigma, tau), the maps on the left
+and right of its identity; ``commutes()`` lists the maps the candidate must
+commute with, which must commute with each other; ``form`` names the
+identity ("paren-rb", "brace-rb" or "derivation", also the search kernel's
+problem kind).  ``check_rota_baxter`` and ``check_derivation`` read only
+that description and run two parts: ``_require_parameters`` raises
+InvalidParameterError on a bad parameter, then ``kind_law`` checks the
+candidate.  A caller that holds the parameter verdicts runs ``kind_law``
+alone.
 """
 
 from __future__ import annotations
@@ -139,74 +151,106 @@ class HomLie:
 # ---------------------------------------------------------------------------
 # Derivation / Rota-Baxter kinds
 # ---------------------------------------------------------------------------
-#
-# A "kind" carries the twisting data of the identity being checked.  The
-# paren kind puts the twists inside the operator's argument, the brace kind
-# twists the operator's own arguments; the named power kinds are brace kinds
-# with extra commutation requirements on the candidate map.
+
+class _Kind:
+    """A kind of twisted identity, described as in the module docstring."""
+    form = "brace-rb"
+
+    def commutes(self) -> tuple[tuple[str, LinearMap], ...]:
+        return ()
+
+
+class _SigmaTau(_Kind):
+    def parameters(self) -> tuple[tuple[str, LinearMap], ...]:
+        return (("sigma", self.sigma), ("tau", self.tau))
+
+    def twists(self) -> tuple[LinearMap, LinearMap]:
+        return self.sigma, self.tau
+
+
+class _AlphaPower(_Kind):
+    """sigma = tau = alpha^e for the kind's exponent e."""
+
+    def __post_init__(self):
+        if self.exponent < 0:
+            raise InvalidParameterError("exponent must be nonnegative")
+
+    def parameters(self) -> tuple[tuple[str, LinearMap], ...]:
+        return (("alpha", self.alpha),)
+
+    commutes = parameters
+
+    def twists(self) -> tuple[LinearMap, LinearMap]:
+        return (power(self.alpha, self.exponent),) * 2
+
 
 @dataclass(frozen=True)
-class TauSigmaDerivation:
+class TauSigmaDerivation(_SigmaTau):
     """D(ab) = D(a) tau(b) + sigma(a) D(b)."""
     tau: LinearMap
     sigma: LinearMap
+    form = "derivation"
+
+    def parameters(self) -> tuple[tuple[str, LinearMap], ...]:
+        return (("tau", self.tau), ("sigma", self.sigma))
 
 
 @dataclass(frozen=True)
-class AlphaPowerDerivation:
+class AlphaPowerDerivation(_AlphaPower):
     """D(ab) = D(a) alpha^k(b) + alpha^k(a) D(b), with D alpha = alpha D."""
     alpha: LinearMap
     k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise InvalidParameterError("exponent must be nonnegative")
+    form = "derivation"
+    exponent = property(lambda self: self.k)
 
 
 DerivationKind = TauSigmaDerivation | AlphaPowerDerivation
 
 
 @dataclass(frozen=True)
-class ParenRB:
+class ParenRB(_SigmaTau):
     """R(a) R(b) = R( sigma(R(a)) b + a tau(R(b)) )."""
     sigma: LinearMap
     tau: LinearMap
+    form = "paren-rb"
 
 
 @dataclass(frozen=True)
-class BraceRB:
+class BraceRB(_SigmaTau):
     """R(sigma(a)) R(tau(b)) = R( sigma(a) R(b) + R(a) tau(b) )."""
     sigma: LinearMap
     tau: LinearMap
 
 
 @dataclass(frozen=True)
-class AlphaPowerRB:
+class AlphaPowerRB(_AlphaPower):
     """Brace kind with sigma = tau = alpha^n; R must commute with alpha."""
     alpha: LinearMap
     n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise InvalidParameterError("exponent must be nonnegative")
+    exponent = property(lambda self: self.n)
 
 
 @dataclass(frozen=True)
-class AlphaBetaRB:
+class AlphaBetaRB(_Kind):
     """Brace kind with sigma = tau = alpha beta; R must commute with both."""
     alpha: LinearMap
     beta: LinearMap
 
+    def parameters(self) -> tuple[tuple[str, LinearMap], ...]:
+        return (("alpha", self.alpha), ("beta", self.beta))
+
+    commutes = parameters
+
+    def twists(self) -> tuple[LinearMap, LinearMap]:
+        return (compose(self.alpha, self.beta),) * 2
+
 
 @dataclass(frozen=True)
-class LieAlphaPowerRB:
+class LieAlphaPowerRB(_AlphaPower):
     """[R(a^n x), R(a^n y)] = R([a^n x, R y] + [R x, a^n y]) on a bracket."""
     alpha: LinearMap
     n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise InvalidParameterError("exponent must be nonnegative")
+    exponent = property(lambda self: self.n)
 
 
 RBKind = ParenRB | BraceRB | AlphaPowerRB | AlphaBetaRB | LieAlphaPowerRB
@@ -219,14 +263,6 @@ RBKind = ParenRB | BraceRB | AlphaPowerRB | AlphaBetaRB | LieAlphaPowerRB
 def _require_square(f: LinearMap, dim: int, what: str) -> None:
     if f.dim_in != f.dim_out or f.dim_in != dim:
         raise ShapeError(f"{what} must be a {dim}x{dim} map")
-
-
-def _require_algebra_map(f: LinearMap, m: BilinearOp, name: str) -> None:
-    _require_square(f, m.dim, name)
-    v = is_algebra_map(f, m)
-    if not v:
-        raise InvalidParameterError(
-            f"{name} is not an algebra map (fails at {v.witness.indices})")
 
 
 def _commutation_verdict(f: LinearMap, g: LinearMap, law: str) -> CheckVerdict:
@@ -498,6 +534,58 @@ def check_hom_lie(l: HomLie) -> CheckVerdict:
     ])
 
 
+def _require_parameters(m: BilinearOp, kind: RBKind | DerivationKind) -> None:
+    """Raise InvalidParameterError unless every parameter map of ``kind`` is
+    an algebra map of ``m`` and its commutation maps commute pairwise."""
+    for name, f in kind.parameters():
+        _require_square(f, m.dim, name)
+        v = is_algebra_map(f, m)
+        if not v:
+            raise InvalidParameterError(
+                f"{name} is not an algebra map (fails at {v.witness.indices})")
+    for (name, f), (other, g) in itertools.combinations(kind.commutes(), 2):
+        if not maps_commute(f, g):
+            raise InvalidParameterError(f"{name} and {other} do not commute")
+
+
+def kind_law(X: LinearMap, m: BilinearOp, kind: RBKind | DerivationKind
+             ) -> CheckVerdict:
+    """The law part of check_rota_baxter and check_derivation: X commutes
+    with the kind's commutation maps, then the kind's identity holds on all
+    basis pairs.  Its parameters are not checked."""
+    _require_square(X, m.dim, "D" if kind.form == "derivation" else "R")
+    v = first_failure([_commutation_verdict(X, f, f"commutes-with-{name}")
+                       for name, f in kind.commutes()])
+    if not v.passed:
+        return v
+    sigma, tau = kind.twists()
+    if kind.form == "derivation":
+        def lhs(i, j):      # D(ab)
+            return X.apply(m.basis_product(i, j))
+
+        def rhs(i, j):      # D(a) tau(b) + sigma(a) D(b)
+            return vec_add(m.apply(X.column(i), tau.column(j)),
+                           m.apply(sigma.column(i), X.column(j)))
+    elif kind.form == "paren-rb":
+        basis = [basis_vector(m.dim, t) for t in range(m.dim)]
+
+        def lhs(i, j):      # R(a) R(b)
+            return m.apply(X.column(i), X.column(j))
+
+        def rhs(i, j):      # R( sigma(R(a)) b + a tau(R(b)) )
+            return X.apply(vec_add(m.apply(sigma.apply(X.column(i)), basis[j]),
+                                   m.apply(basis[i], tau.apply(X.column(j)))))
+    else:
+        def lhs(i, j):      # R(sigma(a)) R(tau(b))
+            return m.apply(X.apply(sigma.column(i)), X.apply(tau.column(j)))
+
+        def rhs(i, j):      # R( sigma(a) R(b) + R(a) tau(b) )
+            return X.apply(vec_add(m.apply(sigma.column(i), X.column(j)),
+                                   m.apply(X.column(i), tau.column(j))))
+    law = "leibniz" if kind.form == "derivation" else "rb-identity"
+    return _pair_identity(m.dim, lhs, rhs, law)
+
+
 def check_derivation(D: LinearMap, m: BilinearOp, kind: DerivationKind) -> CheckVerdict:
     """Twisted Leibniz rule of the given kind on all basis pairs.
 
@@ -505,29 +593,10 @@ def check_derivation(D: LinearMap, m: BilinearOp, kind: DerivationKind) -> Check
     InvalidParameterError rather than failing the law.
     """
     _require_square(D, m.dim, "D")
-    if isinstance(kind, TauSigmaDerivation):
-        _require_algebra_map(kind.tau, m, "tau")
-        _require_algebra_map(kind.sigma, m, "sigma")
-        tau, sigma = kind.tau, kind.sigma
-        pre = CheckVerdict.ok()
-    elif isinstance(kind, AlphaPowerDerivation):
-        _require_algebra_map(kind.alpha, m, "alpha")
-        tau = sigma = power(kind.alpha, kind.k)
-        pre = _commutation_verdict(D, kind.alpha, "commutes-with-alpha")
-    else:
+    if not isinstance(kind, DerivationKind):
         raise TypeError(f"unknown derivation kind: {kind!r}")
-    if not pre.passed:
-        return pre
-
-    def lhs(i, j):
-        return D.apply(m.basis_product(i, j))
-
-    def rhs(i, j):
-        t1 = m.apply(D.column(i), tau.column(j))
-        t2 = m.apply(sigma.column(i), D.column(j))
-        return vec_add(t1, t2)
-
-    return _pair_identity(m.dim, lhs, rhs, "leibniz")
+    _require_parameters(m, kind)
+    return kind_law(D, m, kind)
 
 
 def check_rota_baxter(R: LinearMap, m: BilinearOp, kind: RBKind) -> CheckVerdict:
@@ -538,59 +607,10 @@ def check_rota_baxter(R: LinearMap, m: BilinearOp, kind: RBKind) -> CheckVerdict
     parameters raise InvalidParameterError.
     """
     _require_square(R, m.dim, "R")
-    pre: list[CheckVerdict] = []
-    if isinstance(kind, ParenRB):
-        _require_algebra_map(kind.sigma, m, "sigma")
-        _require_algebra_map(kind.tau, m, "tau")
-
-        def lhs(i, j):
-            return m.apply(R.column(i), R.column(j))
-
-        def rhs(i, j):
-            inner = vec_add(m.apply(kind.sigma.apply(R.column(i)),
-                                    tuple(Fraction(1 if t == j else 0) for t in range(m.dim))),
-                            m.apply(tuple(Fraction(1 if t == i else 0) for t in range(m.dim)),
-                                    kind.tau.apply(R.column(j))))
-            return R.apply(inner)
-
-        return _pair_identity(m.dim, lhs, rhs, "rb-identity")
-
-    if isinstance(kind, BraceRB):
-        _require_algebra_map(kind.sigma, m, "sigma")
-        _require_algebra_map(kind.tau, m, "tau")
-        sigma, tau = kind.sigma, kind.tau
-    elif isinstance(kind, AlphaPowerRB):
-        _require_algebra_map(kind.alpha, m, "alpha")
-        sigma = tau = power(kind.alpha, kind.n)
-        pre.append(_commutation_verdict(R, kind.alpha, "commutes-with-alpha"))
-    elif isinstance(kind, AlphaBetaRB):
-        _require_algebra_map(kind.alpha, m, "alpha")
-        _require_algebra_map(kind.beta, m, "beta")
-        if not maps_commute(kind.alpha, kind.beta):
-            raise InvalidParameterError("alpha and beta do not commute")
-        sigma = tau = compose(kind.alpha, kind.beta)
-        pre.append(_commutation_verdict(R, kind.alpha, "commutes-with-alpha"))
-        pre.append(_commutation_verdict(R, kind.beta, "commutes-with-beta"))
-    elif isinstance(kind, LieAlphaPowerRB):
-        _require_algebra_map(kind.alpha, m, "alpha")
-        sigma = tau = power(kind.alpha, kind.n)
-        pre.append(_commutation_verdict(R, kind.alpha, "commutes-with-alpha"))
-    else:
+    if not isinstance(kind, RBKind):
         raise TypeError(f"unknown Rota-Baxter kind: {kind!r}")
-
-    v = first_failure(pre)
-    if not v.passed:
-        return v
-
-    def lhs(i, j):
-        return m.apply(R.apply(sigma.column(i)), R.apply(tau.column(j)))
-
-    def rhs(i, j):
-        inner = vec_add(m.apply(sigma.column(i), R.column(j)),
-                        m.apply(R.column(i), tau.column(j)))
-        return R.apply(inner)
-
-    return _pair_identity(m.dim, lhs, rhs, "rb-identity")
+    _require_parameters(m, kind)
+    return kind_law(R, m, kind)
 
 
 def check_aybe(a: BiHomAlgebra, r: Tensor2) -> CheckVerdict:

@@ -332,6 +332,46 @@ class TestUnusedFlags:
         assert err == "error: --eta does not apply to theorem 'T3'\n"
 
 
+class TestExponents:
+    """-n and -k take a nonnegative int; anything else is a usage error."""
+
+    @pytest.fixture()
+    def files(self, export, tmp_path):
+        from bihomcheck.exactlin import BilinearOp, LinearMap
+        from bihomcheck.serialize import doc_from_bundle, doc_from_linear_map
+        from bihomcheck.structures import HomLie
+        lie = tmp_path / "lie.json"
+        dump_path(doc_from_bundle(HomLie(BilinearOp.zero(2),
+                                         LinearMap.identity(2))), str(lie))
+        return {"dx2": export("dx2"), "neg_x": export("neg_x"),
+                "lie": str(lie)}
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "moregendend", "dx2", "neg_x", "-n", "-1"],
+        ["construct", "analoglie", "lie", "neg_x", "-n", "-1"],
+        ["construct", "gengd", "dx2", "neg_x", "-k", "-2"],
+        ["construct", "gengd", "dx2", "neg_x", "-k", "two"],
+        ["verify-theorem", "T8", "lie", "neg_x", "-n", "-1"],
+    ])
+    def test_negative_exponent_is_a_usage_error(self, capsys, files,
+                                                tmp_path, argv):
+        argv = [files.get(a, a) for a in argv]
+        if argv[0] == "construct":
+            argv += ["-o", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be a nonnegative integer" in err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_zero_exponent_is_accepted(self, capsys, files, tmp_path):
+        code, _, _ = run(capsys, "construct", "gengd", files["dx2"],
+                         files["neg_x"], "-k", "0",
+                         "-o", str(tmp_path / "out.json"))
+        assert code == 3  # neg_x is not a derivation: a hypothesis failure
+
+
 class TestCatalogueCommand:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "catalogue", "list")

@@ -16,10 +16,18 @@ from bihomcheck.constructions import (
     infprelie_bullet,
     moregendend_triple,
     mu_delta_map,
+    run_steps,
     simprop_dendriform,
     yau_twist_assoc,
     yau_twist_dendriform,
     yau_twist_prelie,
+)
+from bihomcheck.discovery import (
+    RBTarget,
+    SearchSpec,
+    catalogue_entry,
+    search,
+    twist_factory,
 )
 from bihomcheck.exactlin import (
     BilinearOp,
@@ -30,6 +38,7 @@ from bihomcheck.exactlin import (
     power,
 )
 from bihomcheck.structures import (
+    AlphaPowerRB,
     BiHomDendriform,
     HomAlgebra,
     HomLie,
@@ -226,6 +235,36 @@ class TestMoregendend:
         dend, total, circ = moregendend_triple(h, 1, r_n2())
         assert circ.alpha == power(sgn, 2)
         assert check_hom_prelie(circ).passed
+
+    def test_list_implies_simprop_list(self):
+        """moregendend_triple splits with simprop_dendriform.build, because
+        its own hypotheses imply simprop's for sigma = tau = alpha^n and
+        eta = id.  Checked on every alpha^n-Rota-Baxter operator (n = 0, 1,
+        2) found on dx2 and n2, twisted by neg_x / sgn and by the identity."""
+        def verdicts(steps):
+            out = []
+            run_steps(steps, lambda name, v: out.append((name, bool(v))) or v)
+            return out
+
+        checked = 0
+        for entry_id, twist in (("dx2", "neg_x"), ("n2", "sgn")):
+            base = catalogue_entry(entry_id)
+            for f in (catalogue_entry(twist).structure, LinearMap.identity(2)):
+                a = twist_factory(base, (f, f))
+                h = HomAlgebra(a.mu, a.alpha)
+                for n in range(3):
+                    an = power(h.alpha, n)
+                    spec = SearchSpec(RBTarget(AlphaPowerRB(h.alpha, n)))
+                    for R in search(spec, h):
+                        own = verdicts(moregendend_triple.steps(h, n, R))
+                        assert len(own) == 2 and all(v for _, v in own)
+                        split = verdicts(simprop_dendriform.steps(
+                            a, an, an, None, R))
+                        assert len(split) == 20 and all(v for _, v in split)
+                        assert (moregendend_triple(h, n, R)[0]
+                                == simprop_dendriform(a, an, an, None, R))
+                        checked += 1
+        assert checked == 48
 
 
 class TestAnaloglie:

@@ -39,6 +39,7 @@ from bihomcheck.structures import (
     check_inf_hom_bialgebra,
     check_infinitesimal_compat,
     check_rota_baxter,
+    kind_law,
 )
 
 F = Fraction
@@ -334,6 +335,81 @@ class TestRotaBaxter:
     def test_invalid_sigma(self, n2, id2):
         with pytest.raises(InvalidParameterError):
             check_rota_baxter(diag(0, 1), n2.mu, ParenRB(diag(1, 2), id2))
+
+
+def _valid_kinds(f, g):
+    """Every Rota-Baxter and derivation kind whose parameters are the
+    commuting algebra maps f and g."""
+    pairs = [(f, f), (f, g), (g, f), (g, g)]
+    for a, b in pairs:
+        yield from (TauSigmaDerivation(a, b), ParenRB(a, b), BraceRB(a, b),
+                    AlphaBetaRB(a, b))
+    for a, e in itertools.product((f, g), range(3)):
+        yield from (AlphaPowerDerivation(a, e), AlphaPowerRB(a, e),
+                    LieAlphaPowerRB(a, e))
+
+
+class TestLawPart:
+    """kind_law, the law part of check_rota_baxter and check_derivation,
+    gives the public checker's verdict whenever the parameters are valid."""
+
+    HALF_GRID = (F(-1), F(0), F(1), F(1, 2))
+
+    def _candidates(self, rng, dim, count):
+        yield LinearMap.zero(dim, dim)
+        yield LinearMap.identity(dim)
+        for _ in range(count):
+            yield LinearMap([[rng.choice(self.HALF_GRID) if rng.random() < 0.4
+                              else F(0) for _ in range(dim)]
+                             for _ in range(dim)])
+
+    def test_same_verdict_as_public_checker(self, n2, dx2, m2, id2, id4, sgn,
+                                            neg_x, conj_d):
+        rng = random.Random(18)
+        outcomes = set()
+        for mu, f, g, count in ((n2.mu, id2, sgn, 12), (dx2.mu, id2, neg_x, 12),
+                                (m2.mu, id4, conj_d, 2)):
+            for kind in _valid_kinds(f, g):
+                public = (check_derivation if kind.form == "derivation"
+                          else check_rota_baxter)
+                for X in self._candidates(rng, mu.dim, count):
+                    v = public(X, mu, kind)
+                    assert kind_law(X, mu, kind) == v, (kind, X)
+                    outcomes.add(v.law)
+        assert {None, "rb-identity", "leibniz", "commutes-with-alpha",
+                "commutes-with-beta"} <= outcomes
+
+    @pytest.mark.parametrize("check, kind, text", [
+        (check_rota_baxter, ParenRB(diag(1, 2), LinearMap.identity(2)),
+         "sigma is not an algebra map (fails at (0, 0))"),
+        (check_rota_baxter, ParenRB(LinearMap.identity(2), diag(1, 2)),
+         "tau is not an algebra map (fails at (0, 0))"),
+        (check_rota_baxter, BraceRB(diag(1, 2), diag(1, 2)),
+         "sigma is not an algebra map (fails at (0, 0))"),
+        (check_derivation, TauSigmaDerivation(diag(1, 2), diag(1, 2)),
+         "tau is not an algebra map (fails at (0, 0))"),
+        (check_derivation, TauSigmaDerivation(LinearMap.identity(2),
+                                              diag(1, 2)),
+         "sigma is not an algebra map (fails at (0, 0))"),
+        (check_derivation, AlphaPowerDerivation(diag(1, 2), 1),
+         "alpha is not an algebra map (fails at (0, 0))"),
+        (check_rota_baxter, AlphaPowerRB(diag(1, 2), 0),
+         "alpha is not an algebra map (fails at (0, 0))"),
+        (check_rota_baxter, AlphaBetaRB(LinearMap([[1, 0], [1, 1]]),
+                                        diag(1, 2)),
+         "beta is not an algebra map (fails at (0, 0))"),
+        (check_rota_baxter, AlphaBetaRB(diag(-1, 1), LinearMap([[1, 0],
+                                                                [1, 1]])),
+         "alpha and beta do not commute"),
+        (check_rota_baxter, LieAlphaPowerRB(diag(1, 2), 1),
+         "alpha is not an algebra map (fails at (0, 0))"),
+    ])
+    def test_invalid_parameter_text(self, n2, check, kind, text):
+        # diag(1, 2) is not an algebra map of n2; the shear and the sign
+        # flip are, and they do not commute
+        with pytest.raises(InvalidParameterError) as exc:
+            check(LinearMap.zero(2, 2), n2.mu, kind)
+        assert str(exc.value) == text
 
 
 class TestAybe:

@@ -1,9 +1,10 @@
+import contextlib
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from bihomcheck import constructions, structures, theorems
+from bihomcheck import constructions, discovery, exactlin, structures, theorems
 from bihomcheck.constructions import (
     PreconditionError,
     abrb_operator,
@@ -210,3 +211,33 @@ class TestConstructionAgreement:
                                   counter):
             assert verify_theorem("T7", **kwargs).passed
         assert counter.call_count == 1
+
+
+def _calls(original, tid, kwargs):
+    """Calls of ``original`` in one registry run, counted wherever the
+    package binds it."""
+    counter = mock.Mock(wraps=original)
+    with contextlib.ExitStack() as stack:
+        for module in (exactlin, structures, constructions, discovery,
+                       theorems):
+            for name in [n for n, v in vars(module).items() if v is original]:
+                stack.enter_context(mock.patch.object(module, name, counter))
+        assert verify_theorem(tid, **kwargs).passed
+    return counter.call_count
+
+
+class TestRepeatedChecks:
+    """A pipeline checks each hypothesis once: the law part of an operator
+    checker runs alone where the report holds the parameter verdicts, and a
+    construction's list is not checked again."""
+
+    @pytest.mark.parametrize("tid, original, per_instance", [
+        ("T4", exactlin.is_algebra_map, 2),
+        ("T5", exactlin.is_algebra_map, 4),
+        ("T11", structures.check_inf_hom_bialgebra, 2),
+        ("T12", structures.check_bihom_associative, 1),
+    ])
+    def test_calls_per_instance(self, tid, original, per_instance):
+        instances = catalogue_instances(tid)
+        for kwargs, desc in instances[::max(1, len(instances) // 8)]:
+            assert _calls(original, tid, kwargs) == per_instance, desc
