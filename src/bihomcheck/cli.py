@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # (exception types, stderr prefix, exit code); the first match wins, so the
 # library's ValueError subclasses come before the catch-all ValueError row:
-# a ShapeError, a SearchSpaceTooLargeError, an unknown BIHOMCHECK_KERNEL.
+# a ShapeError, a SearchSpaceTooLargeError.
 _ERRORS = (
     ((SystemExit2, FileNotFoundError, KeyError), "error", EXIT_USAGE),
     (ser.DocumentError, "document error", EXIT_USAGE),

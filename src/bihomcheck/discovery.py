@@ -7,6 +7,13 @@ pair of maps), filters by the target's law and re-certifies every survivor
 with the exact rational checkers.  Enumeration order is lexicographic over
 the grid, so results are deterministic; the integer fast path in
 :mod:`bihomcheck.kernels` only prefilters and can never change the answer.
+
+Each search target describes itself once: ``matrices`` is the number of
+candidate matrices (2 for map pairs, else 1), ``decode(*grids)`` builds the
+candidate from its coefficient grids, and ``plan(ambient, mu)`` returns the
+exact certifier, the kernel form and the maps of the kernel problem (left
+twist, right twist, then the maps a candidate must commute with).  Whether
+the int64 fast path can run is decided in ``kernels``.
 """
 
 from __future__ import annotations
@@ -14,8 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import kernels
 from .constructions import (
@@ -69,10 +74,42 @@ MAX_DIM = 4
 @dataclass(frozen=True)
 class AybeTarget:
     """Solutions r of the twisted associative Yang-Baxter equation."""
+    matrices = 1
+
+    def decode(self, grid) -> Tensor2:
+        return Tensor2(grid)
+
+    def plan(self, ambient, mu: BilinearOp):
+        if isinstance(ambient, HomLie):
+            raise TypeError("Yang-Baxter search needs a (Bi)Hom-associative ambient")
+        bihom = ambient.as_bihom() if isinstance(ambient, HomAlgebra) else ambient
+        return ((lambda r: check_aybe(bihom, r).passed), "aybe",
+                (bihom.alpha, bihom.beta))
+
+
+class _OperatorTarget:
+    """An operator of ``self.kind``; ``check`` is the kind's public checker,
+    which first validates the kind's parameters on the zero map."""
+    matrices = 1
+    commute_with = ()
+
+    def decode(self, grid) -> LinearMap:
+        return LinearMap(grid)
+
+    def _plan(self, check, mu: BilinearOp):
+        kind, extra = self.kind, self.commute_with
+        check(LinearMap.zero(mu.dim, mu.dim), mu, kind)  # validate params
+
+        def certify(X: LinearMap) -> bool:
+            return (all(maps_commute(X, m) for m in extra)
+                    and check(X, mu, kind).passed)
+
+        return certify, kind.form, (*kind.twists(),
+                                    *(f for _, f in kind.commutes()), *extra)
 
 
 @dataclass(frozen=True)
-class RBTarget:
+class RBTarget(_OperatorTarget):
     """Rota-Baxter operators of the given kind.  ``commute_with`` adds
     commutation constraints beyond the kind's own (needed when feeding the
     splitting theorem, whose hypotheses require R to commute with all of
@@ -80,16 +117,35 @@ class RBTarget:
     kind: RBKind
     commute_with: tuple[LinearMap, ...] = ()
 
+    def plan(self, ambient, mu: BilinearOp):
+        return self._plan(check_rota_baxter, mu)
+
 
 @dataclass(frozen=True)
-class DerivationTarget:
+class DerivationTarget(_OperatorTarget):
+    """Twisted derivations of the given kind."""
     kind: DerivationKind
-    commute_with = ()           # no constraint beyond the kind's own
+
+    def plan(self, ambient, mu: BilinearOp):
+        return self._plan(check_derivation, mu)
 
 
 @dataclass(frozen=True)
 class AlgebraMapPairTarget:
     """Commuting pairs of multiplicative endomorphisms."""
+    matrices = 2
+
+    def decode(self, f, g) -> tuple[LinearMap, LinearMap]:
+        return LinearMap(f), LinearMap(g)
+
+    def plan(self, ambient, mu: BilinearOp):
+        def certify(pair) -> bool:
+            f, g = pair
+            return (is_algebra_map(f, mu).passed
+                    and is_algebra_map(g, mu).passed
+                    and maps_commute(f, g))
+
+        return certify, "map-pair", ()
 
 
 SearchTarget = AybeTarget | RBTarget | DerivationTarget | AlgebraMapPairTarget
@@ -106,34 +162,17 @@ class SearchSpec:
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("coefficient set must be nonempty")
-        object.__setattr__(self, "coefficients",
-                           tuple(frac(c) for c in self.coefficients))
+        coefficients = tuple(frac(c) for c in self.coefficients)
+        if len(set(coefficients)) != len(coefficients):
+            raise ValueError("coefficient set has a repeated value")
+        object.__setattr__(self, "coefficients", coefficients)
         if self.dim_cap < 1 or self.dim_cap > MAX_DIM:
             raise ValueError(f"dimension cap must be in 1..{MAX_DIM}")
         if self.support is not None:
-            object.__setattr__(self, "support",
-                               tuple(sorted((int(i), int(j))
-                                            for i, j in self.support)))
-
-
-def _as_int_array(values, shape) -> np.ndarray | None:
-    flat = []
-    for v in values:
-        f = frac(v)
-        if f.denominator != 1:
-            return None
-        flat.append(int(f))
-    return np.array(flat, dtype=np.int64).reshape(shape)
-
-
-def _map_to_int(m: LinearMap) -> np.ndarray | None:
-    return _as_int_array([x for row in m.entries for x in row],
-                         (m.dim_out, m.dim_in))
-
-
-def _cube_to_int(b: BilinearOp) -> np.ndarray | None:
-    d = b.dim
-    return _as_int_array([x for p in b.cube for r in p for x in r], (d, d, d))
+            support = tuple(sorted((int(i), int(j)) for i, j in self.support))
+            if len(set(support)) != len(support):
+                raise ValueError("support has a repeated entry")
+            object.__setattr__(self, "support", support)
 
 
 def _slots(dim: int, support) -> list[tuple[int, int]]:
@@ -145,28 +184,21 @@ def _slots(dim: int, support) -> list[tuple[int, int]]:
     return list(support)
 
 
-def _ambient_product(target: SearchTarget, ambient) -> BilinearOp:
-    if isinstance(ambient, BiHomAlgebra):
-        return ambient.mu
-    if isinstance(ambient, HomAlgebra):
-        return ambient.mu
+def _ambient_product(ambient) -> BilinearOp:
+    """The ambient's product (a Hom-Lie algebra's bracket), once its law
+    holds."""
     if isinstance(ambient, HomLie):
-        return ambient.bracket
-    raise TypeError(f"unsupported ambient structure {type(ambient).__name__}")
-
-
-def _validate_ambient(target: SearchTarget, ambient) -> None:
-    if isinstance(ambient, HomLie):
-        v = check_hom_lie(ambient)
+        v, mu = check_hom_lie(ambient), ambient.bracket
     elif isinstance(ambient, HomAlgebra):
-        v = check_bihom_associative(ambient.as_bihom())
+        v, mu = check_bihom_associative(ambient.as_bihom()), ambient.mu
     elif isinstance(ambient, BiHomAlgebra):
-        v = check_bihom_associative(ambient)
+        v, mu = check_bihom_associative(ambient), ambient.mu
     else:
         raise TypeError(f"unsupported ambient structure {type(ambient).__name__}")
     if not v.passed:
         raise ValueError(
             f"ambient structure fails {v.law} at {v.witness.indices}")
+    return mu
 
 
 def search(spec: SearchSpec, ambient, backend: str | None = None) -> list:
@@ -175,150 +207,45 @@ def search(spec: SearchSpec, ambient, backend: str | None = None) -> list:
     Returns Tensor2 solutions for the Yang-Baxter target, LinearMaps for
     operator/derivation targets, and (LinearMap, LinearMap) pairs for the
     commuting-map target.  Every result has been re-checked by the exact
-    rational checker for its law.  ``backend`` (auto|numpy|exact) overrides
-    ``BIHOMCHECK_KERNEL`` for this call.
+    rational checker for its law.  ``backend`` is auto (the default), numpy
+    or exact.  The int64 fast path runs when ``kernels`` can build the
+    grid's integer problem and the backend is numpy, or auto on a grid of
+    more than ``kernels.SMALL_SPACE`` candidates.
     """
-    _validate_ambient(spec.target, ambient)
-    mu = _ambient_product(spec.target, ambient)
+    mu = _ambient_product(ambient)
     dim = mu.dim
     if dim > spec.dim_cap:
         raise ValueError(f"ambient dimension {dim} exceeds cap {spec.dim_cap}")
     slots = _slots(dim, spec.support)
-    n_slots = 2 * len(slots) if isinstance(spec.target, AlgebraMapPairTarget) \
-        else len(slots)
-    total = len(spec.coefficients) ** n_slots
+    target, coefficients = spec.target, spec.coefficients
+    n_slots = target.matrices * len(slots)
+    total = len(coefficients) ** n_slots
     if total > spec.budget:
         raise SearchSpaceTooLargeError(
             f"{total} candidates exceed the budget of {spec.budget}")
 
-    certify, problem = _certifier_and_problem(spec, ambient, mu, slots)
-
-    int_coeffs = all(c.denominator == 1 for c in spec.coefficients)
-    bound_ok = False
-    if problem is not None and int_coeffs:
-        cmax = max(abs(int(c)) for c in spec.coefficients) if spec.coefficients else 0
-        bound_ok = kernels.magnitude_bound(problem, cmax) < kernels.INT64_SAFE
-    chosen = kernels.resolve_backend(total, backend,
-                                     int_data=(problem is not None and int_coeffs),
-                                     bound_ok=bound_ok)
-
+    certify, form, maps = target.plan(ambient, mu)
+    problem = None
+    if kernels.resolve_backend(total, backend) == "numpy":
+        problem = kernels.grid_problem(form, mu, maps, slots, coefficients)
+    fast = problem is not None
+    candidates = (kernels.fast_survivors(problem) if fast else
+                  itertools.product(range(len(coefficients)), repeat=n_slots))
+    cells = [(m, i, j) for m in range(target.matrices) for i, j in slots]
     results = []
-    if chosen == "exact":
-        for assignment in itertools.product(spec.coefficients, repeat=n_slots):
-            obj = _decode(spec, dim, slots, assignment)
-            if certify(obj):
-                results.append(obj)
-        return results
-
-    coeff_ints = [int(c) for c in spec.coefficients]
-    for idx in kernels.fast_survivors(problem, coeff_ints):
-        assignment = _assignment_from_index(idx, spec.coefficients, n_slots)
-        obj = _decode(spec, dim, slots, assignment)
-        if not certify(obj):
+    for digits in candidates:
+        grids = [[[Fraction(0)] * dim for _ in range(dim)]
+                 for _ in range(target.matrices)]
+        for (m, i, j), d in zip(cells, digits):
+            grids[m][i][j] = coefficients[d]
+        obj = target.decode(*grids)
+        if certify(obj):
+            results.append(obj)
+        elif fast:
             raise InternalInconsistencyError(
                 "fast path accepted a candidate the exact checker rejects; "
                 "this is a kernel bug")
-        results.append(obj)
     return results
-
-
-def _assignment_from_index(idx: int, coefficients, n_slots: int):
-    base = len(coefficients)
-    out = []
-    for t in range(n_slots):
-        stride = base ** (n_slots - 1 - t)
-        out.append(coefficients[(idx // stride) % base])
-    return tuple(out)
-
-
-def _decode(spec: SearchSpec, dim: int, slots, assignment):
-    if isinstance(spec.target, AlgebraMapPairTarget):
-        half = len(slots)
-        return (_matrix_from_slots(dim, slots, assignment[:half]),
-                _matrix_from_slots(dim, slots, assignment[half:]))
-    if isinstance(spec.target, AybeTarget):
-        grid = [[Fraction(0)] * dim for _ in range(dim)]
-        for (i, j), c in zip(slots, assignment):
-            grid[i][j] = c
-        return Tensor2(grid)
-    return _matrix_from_slots(dim, slots, assignment)
-
-
-def _matrix_from_slots(dim: int, slots, assignment) -> LinearMap:
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for (i, j), c in zip(slots, assignment):
-        rows[i][j] = c
-    return LinearMap(rows)
-
-
-def _certifier_and_problem(spec: SearchSpec, ambient, mu: BilinearOp, slots):
-    """Exact certification predicate plus (when data is integral) the
-    integer kernel problem for the fast path."""
-    dim = mu.dim
-    target = spec.target
-    mu_int = _cube_to_int(mu)
-
-    if isinstance(target, AybeTarget):
-        if not isinstance(ambient, (BiHomAlgebra, HomAlgebra)):
-            raise TypeError("Yang-Baxter search needs a (Bi)Hom-associative ambient")
-        bihom = ambient if isinstance(ambient, BiHomAlgebra) else ambient.as_bihom()
-
-        def certify(r: Tensor2) -> bool:
-            return check_aybe(bihom, r).passed
-
-        problem = None
-        a_int, b_int = _map_to_int(bihom.alpha), _map_to_int(bihom.beta)
-        if mu_int is not None and a_int is not None and b_int is not None:
-            problem = kernels.GridProblem("aybe", dim, mu_int, a_int, b_int,
-                                          kernels.empty_commute(dim), slots)
-        return certify, problem
-
-    if isinstance(target, (RBTarget, DerivationTarget)):
-        kind, extra = target.kind, target.commute_with
-        check = (check_rota_baxter if isinstance(target, RBTarget)
-                 else check_derivation)
-        check(LinearMap.zero(dim, dim), mu, kind)  # validate params
-
-        def certify(X: LinearMap) -> bool:
-            if any(not maps_commute(X, m) for m in extra):
-                return False
-            return check(X, mu, kind).passed
-
-        return certify, _twisted_problem(kind, dim, mu_int, extra, slots)
-
-    if isinstance(target, AlgebraMapPairTarget):
-
-        def certify(pair) -> bool:
-            f, g = pair
-            return (is_algebra_map(f, mu).passed
-                    and is_algebra_map(g, mu).passed
-                    and maps_commute(f, g))
-
-        problem = None
-        if mu_int is not None:
-            z = np.zeros((dim, dim), dtype=np.int64)
-            problem = kernels.GridProblem("map-pair", dim, mu_int, z, z,
-                                          kernels.empty_commute(dim), slots)
-        return certify, problem
-
-    raise TypeError(f"unknown search target {target!r}")
-
-
-def _twisted_problem(kind: RBKind | DerivationKind, dim: int, mu_int,
-                     extra, slots):
-    """The kernel problem of a kind's identity, with the candidate commuting
-    with the kind's commutation maps and ``extra``; None unless all data is
-    integral."""
-    if mu_int is None:
-        return None
-    ints = [_map_to_int(f) for f in (*kind.twists(),
-                                     *(f for _, f in kind.commutes()), *extra)]
-    if any(x is None for x in ints):
-        return None
-    left, right, *comm = ints
-    return kernels.GridProblem(
-        kind.form, dim, mu_int, left, right,
-        np.stack(comm) if comm else kernels.empty_commute(dim), slots)
 
 
 # ---------------------------------------------------------------------------

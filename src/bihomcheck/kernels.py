@@ -8,23 +8,23 @@ prefilter, as long as no intermediate can overflow.  Overflow safety is
 established up front: every condition is written as ``lhs == rhs`` with
 subtraction-free sides, so evaluating both sides with absolute values and
 the largest coefficient magnitude bounds every intermediate of the real
-computation.  If that bound does not fit comfortably in int64 the caller
-falls back to the exact rational path.
+computation.  ``grid_problem`` makes that decision: it returns None, and the
+search runs the exact rational path, unless all data is integral and the
+bound fits comfortably in int64.
 
-The mask is a vectorized numpy evaluation of whole candidate chunks.
-``BIHOMCHECK_KERNEL`` selects the path (``auto`` / ``numpy`` / ``exact``);
-the search layer re-certifies every survivor with the exact rational
-checkers regardless of the path taken.
+The mask is a vectorized numpy evaluation of whole candidate chunks.  The
+search layer asks ``resolve_backend`` (``auto`` / ``numpy`` / ``exact``)
+whether to try the fast path, builds the problem only if so, and
+re-certifies every survivor with the exact rational checkers regardless of
+the path taken.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-ENV_VAR = "BIHOMCHECK_KERNEL"
 BACKENDS = ("auto", "numpy", "exact")
 INT64_SAFE = 1 << 62
 #: under ``auto``, grids of at most this many candidates run the exact path
@@ -32,30 +32,17 @@ SMALL_SPACE = 2048
 CHUNK = 8192
 
 
-def _check_backend(value: str, source: str) -> str:
-    """Return ``value`` if it names a backend, else raise ValueError."""
-    if value == "numba":
-        raise ValueError(f"{source}: the numba backend was removed; "
+def resolve_backend(n_candidates: int, requested: str | None = None) -> str:
+    """The path a search of the given size asks for, ``"exact"`` or
+    ``"numpy"``; ``requested`` defaults to ``"auto"``.  A ``"numpy"`` search
+    still runs the exact path when ``grid_problem`` returns None."""
+    req = requested or "auto"
+    if req == "numba":
+        raise ValueError("backend: the numba backend was removed; "
                          "use auto|numpy|exact")
-    if value not in BACKENDS:
-        raise ValueError(f"{source} must be auto|numpy|exact, got {value!r}")
-    return value
-
-
-def requested_backend() -> str:
-    return _check_backend(os.environ.get(ENV_VAR, "auto").strip().lower(),
-                          ENV_VAR)
-
-
-def resolve_backend(n_candidates: int, requested: str | None = None,
-                    int_data: bool = True, bound_ok: bool = True) -> str:
-    """Pick the backend actually used for a search of the given size:
-    ``"exact"`` or ``"numpy"``."""
-    req = (_check_backend(requested, "backend") if requested
-           else requested_backend())
-    if req == "exact" or not int_data or not bound_ok:
-        return "exact"
-    if req == "auto" and n_candidates <= SMALL_SPACE:
+    if req not in BACKENDS:
+        raise ValueError(f"backend must be auto|numpy|exact, got {req!r}")
+    if req == "exact" or (req == "auto" and n_candidates <= SMALL_SPACE):
         return "exact"
     return "numpy"
 
@@ -74,6 +61,7 @@ class GridProblem:
     a stack of matrices the candidate must commute with.  ``slots`` are the
     free (row, col) positions of the candidate matrix, in lexicographic
     order; map-pair candidates consist of two matrices with the same slots.
+    ``values`` are the grid's coefficients.
     """
     kind: str
     dim: int
@@ -81,7 +69,8 @@ class GridProblem:
     left: np.ndarray
     right: np.ndarray
     commute: np.ndarray
-    slots: list[tuple[int, int]] = field(default_factory=list)
+    slots: list[tuple[int, int]]
+    values: list[int]
 
     @property
     def n_slots(self) -> int:
@@ -89,24 +78,54 @@ class GridProblem:
         return 2 * n if self.kind == "map-pair" else n
 
 
-def empty_commute(dim: int) -> np.ndarray:
-    return np.zeros((0, dim, dim), dtype=np.int64)
+def _ints(values) -> list[int] | None:
+    """``values`` as ints, or None if one of them is not an integer."""
+    values = list(values)
+    if any(v.denominator != 1 for v in values):
+        return None
+    return [int(v) for v in values]
+
+
+def grid_problem(form: str, mu, maps, slots, coefficients
+                 ) -> GridProblem | None:
+    """The integer problem of a search, or None when the search must run on
+    the exact path: a structure constant, a map entry or a coefficient is
+    not an integer, or ``magnitude_bound`` reaches ``INT64_SAFE``.
+
+    ``mu`` is the ambient BilinearOp and ``maps`` are LinearMaps: the left
+    and right twists, then the maps the candidate must commute with (none
+    for a map-pair search)."""
+    d = mu.dim
+    values = _ints(coefficients)
+    cube = _ints(x for plane in mu.cube for row in plane for x in row)
+    entries = [_ints(x for row in f.entries for x in row) for f in maps]
+    if values is None or cube is None or any(e is None for e in entries):
+        return None
+    stack = (np.array(entries, dtype=np.int64).reshape(-1, d, d) if entries
+             else np.zeros((2, d, d), dtype=np.int64))
+    cube = np.array(cube, dtype=np.int64).reshape(d, d, d)
+    problem = GridProblem(form, d, cube, stack[0], stack[1], stack[2:],
+                          list(slots), values)
+    if magnitude_bound(problem, max(abs(v) for v in values)) >= INT64_SAFE:
+        return None
+    return problem
 
 
 # ---------------------------------------------------------------------------
 # Candidate decoding
 # ---------------------------------------------------------------------------
 
-def decode_chunk(start: int, stop: int, n_values: int, n_slots: int,
-                 values: np.ndarray) -> np.ndarray:
-    """Mixed-radix decode of candidate indices: slot 0 is most significant,
-    matching itertools.product enumeration order on the exact path."""
+def decode_chunk(start: int, stop: int, n_values: int, n_slots: int
+                 ) -> np.ndarray:
+    """Mixed-radix decode of candidate indices into one coefficient index
+    per slot: slot 0 is most significant, matching the order of
+    ``itertools.product(range(n_values), repeat=n_slots)``."""
     idx = np.arange(start, stop, dtype=np.int64)
     digits = np.empty((idx.size, n_slots), dtype=np.int64)
     for t in range(n_slots):
         stride = n_values ** (n_slots - 1 - t)
         digits[:, t] = (idx // stride) % n_values
-    return values[digits]
+    return digits
 
 
 def scatter(problem: GridProblem, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -201,7 +220,7 @@ def magnitude_bound(problem: GridProblem, coeff_max: int) -> int:
         np.abs(problem.left).astype(object),
         np.abs(problem.right).astype(object),
         np.abs(problem.commute).astype(object),
-        problem.slots)
+        problem.slots, problem.values)
     full = np.full((1, len(problem.slots)), int(abs(coeff_max)), dtype=object)
     if problem.kind == "map-pair":
         full = np.concatenate([full, full], axis=1)
@@ -216,20 +235,18 @@ def magnitude_bound(problem: GridProblem, coeff_max: int) -> int:
 # Driver
 # ---------------------------------------------------------------------------
 
-def fast_survivors(problem: GridProblem, coeff_values: list[int],
-                   chunk: int = CHUNK) -> list[int]:
-    """Indices (in lexicographic enumeration order) of all grid candidates
-    passing the target's integer mask."""
-    values = np.array(coeff_values, dtype=np.int64)
-    n_slots = problem.n_slots
-    total = len(coeff_values) ** n_slots
-    survivors: list[int] = []
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        coeffs = decode_chunk(start, stop, len(coeff_values), n_slots, values)
-        cands = scatter(problem, coeffs)
-        mask = numpy_mask(problem, cands)
-        survivors.extend(int(i) + start for i in np.nonzero(mask)[0])
-        start = stop
+def fast_survivors(problem: GridProblem, chunk: int = CHUNK
+                   ) -> list[tuple[int, ...]]:
+    """The coefficient indices (one per slot, as ``decode_chunk`` gives
+    them) of every grid candidate passing the target's integer mask, in
+    lexicographic enumeration order."""
+    values = np.array(problem.values, dtype=np.int64)
+    n_values, n_slots = len(values), problem.n_slots
+    total = n_values ** n_slots
+    survivors: list[tuple[int, ...]] = []
+    for start in range(0, total, chunk):
+        digits = decode_chunk(start, min(start + chunk, total), n_values,
+                              n_slots)
+        mask = numpy_mask(problem, scatter(problem, values[digits]))
+        survivors.extend(map(tuple, digits[mask].tolist()))
     return survivors

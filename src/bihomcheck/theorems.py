@@ -459,21 +459,19 @@ def run_t12(h: HomAlgebra, r: Tensor2, desc: str = "") -> TheoremReport:
 # Dispatch and catalogue instance generators
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "T1": run_t1, "T2": run_t2, "T3": run_t3, "T4": run_t4, "T5": run_t5,
-    "T6": run_t6, "T7": run_t7, "T8": run_t8, "T9": run_t9, "T10": run_t10,
-    "T11": run_t11, "T12": run_t12,
-}
+def _theorem(theorem_id: str):
+    """The (runner, instance generator) row of ``_THEOREMS``."""
+    try:
+        return _THEOREMS[theorem_id]
+    except KeyError:
+        raise KeyError(f"unknown theorem id {theorem_id!r}; "
+                       f"expected one of {', '.join(THEOREM_IDS)}") from None
 
 
 def verify_theorem(theorem_id: str, /, **instance) -> TheoremReport:
     """Run one registry entry on a structured instance (keyword arguments
     matching the runner's signature; ``desc`` is optional)."""
-    try:
-        runner = _RUNNERS[theorem_id]
-    except KeyError:
-        raise KeyError(f"unknown theorem id {theorem_id!r}; "
-                       f"expected one of {', '.join(THEOREM_IDS)}") from None
+    runner, _ = _theorem(theorem_id)
     return runner(**instance)
 
 
@@ -551,16 +549,7 @@ def aybe_solution_sets() -> tuple[tuple[BiHomAlgebra, tuple[Tensor2, ...], str],
 def catalogue_instances(theorem_id: str) -> list[tuple[dict, str]]:
     """(kwargs, description) pairs for --all-catalogue runs; these are the
     same instances the acceptance suite quantifies over."""
-    gen = {
-        "T1": _instances_t1, "T2": _instances_t2, "T3": _instances_t3,
-        "T4": _instances_t4, "T5": _instances_t5, "T6": _instances_t6,
-        "T7": _instances_t7, "T8": _instances_t8, "T9": _instances_t9,
-        "T10": _instances_t10, "T11": _instances_t11, "T12": _instances_t12,
-    }
-    try:
-        make = gen[theorem_id]
-    except KeyError:
-        raise KeyError(f"unknown theorem id {theorem_id!r}") from None
+    _, make = _theorem(theorem_id)
     out = []
     for kwargs, desc in make():
         kwargs = dict(kwargs)
@@ -736,3 +725,14 @@ def _instances_t12():
             h = HomAlgebra(ambient.mu, ambient.alpha)
             for k, r in enumerate(sols):
                 yield {"h": h, "r": r}, f"{where}, solution #{k}"
+
+
+# (runner, catalogue instance generator) of each registry entry
+_THEOREMS = {
+    "T1": (run_t1, _instances_t1), "T2": (run_t2, _instances_t2),
+    "T3": (run_t3, _instances_t3), "T4": (run_t4, _instances_t4),
+    "T5": (run_t5, _instances_t5), "T6": (run_t6, _instances_t6),
+    "T7": (run_t7, _instances_t7), "T8": (run_t8, _instances_t8),
+    "T9": (run_t9, _instances_t9), "T10": (run_t10, _instances_t10),
+    "T11": (run_t11, _instances_t11), "T12": (run_t12, _instances_t12),
+}

@@ -203,19 +203,25 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err.startswith("document error: /payload/target/type: ")
 
-    def test_removed_kernel_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BIHOMCHECK_KERNEL", "numba")
+    @pytest.mark.parametrize("field, value", [
+        ("support", [[1, 1], [1, 1]]), ("coefficients", ["0", "0", "1"])])
+    def test_repeated_grid_entry_exits_2(self, capsys, tmp_path, field, value):
         spec_path = self.write_spec(tmp_path)
+        spec = json.loads(spec_path.read_text())
+        spec["payload"][field] = value
+        spec_path.write_text(json.dumps(spec))
         code, out, err = run(capsys, "search", str(spec_path))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "removed" in err
+        assert err.startswith("document error: ") and "repeated" in err
 
     def test_fast_path_disagreement_exits_4(self, capsys, tmp_path, monkeypatch):
+        import itertools
+
         from bihomcheck import kernels
-        monkeypatch.setenv("BIHOMCHECK_KERNEL", "numpy")
+        monkeypatch.setattr(kernels, "SMALL_SPACE", 0)
         # a prefilter that lets every one of the 3^4 candidates through
-        monkeypatch.setattr(kernels, "fast_survivors",
-                            lambda problem, coeffs: range(3 ** 4))
+        monkeypatch.setattr(kernels, "fast_survivors", lambda problem: list(
+            itertools.product(range(3), repeat=4)))
         spec_path = self.write_spec(tmp_path)
         code, out, err = run(capsys, "search", str(spec_path))
         assert code == 4 and out == ""

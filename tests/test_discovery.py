@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,23 @@ from bihomcheck.discovery import (
     search,
     twist_factory,
 )
-from bihomcheck.exactlin import LinearMap, Tensor2, is_algebra_map, maps_commute
+from bihomcheck.exactlin import (
+    BilinearOp,
+    LinearMap,
+    Tensor2,
+    is_algebra_map,
+    maps_commute,
+)
 from bihomcheck.structures import (
+    AlphaBetaRB,
     AlphaPowerDerivation,
     AlphaPowerRB,
     BraceRB,
+    HomLie,
+    InvalidParameterError,
+    LieAlphaPowerRB,
     ParenRB,
+    TauSigmaDerivation,
     check_aybe,
     check_bihom_associative,
     check_derivation,
@@ -31,6 +43,7 @@ from bihomcheck.structures import (
 
 F = Fraction
 BACKENDS = ("exact", "numpy")
+GRIDS = ((-1, 0, 1), (-2, -1, 0, 1, 2))
 
 
 def diag(*values):
@@ -128,6 +141,32 @@ class TestSearchGuards:
         with pytest.raises(ValueError):
             SearchSpec(AybeTarget(), coefficients=())
 
+    @pytest.mark.parametrize("fields", [
+        {"support": ((1, 1), (1, 1))},
+        {"support": ((1, 1),), "coefficients": (F(0), F(0), F(1))},
+        {"coefficients": (1, F(2, 2))}])
+    def test_repeated_grid_entry(self, fields):
+        # each would enumerate, and return, the same candidate twice
+        with pytest.raises(ValueError, match="repeated"):
+            SearchSpec(AybeTarget(), **fields)
+
+    def test_error_order(self, n2, na2, id2):
+        # ambient law, dimension cap, support range, budget, parameter
+        # check, backend: each spec fails every check after its own
+        spec = SearchSpec(RBTarget(BraceRB(diag(1, 2), id2)), dim_cap=1,
+                          support=((5, 0),), budget=1)
+        steps = [(na2, {}, ValueError, "ambient structure fails"),
+                 (n2, {}, ValueError, "exceeds cap"),
+                 (n2, {"dim_cap": 2}, ValueError, "outside dimension"),
+                 (n2, {"support": ((0, 0),)}, SearchSpaceTooLargeError, "budget"),
+                 (n2, {"budget": 3}, InvalidParameterError, "sigma"),
+                 (n2, {"target": RBTarget(BraceRB(id2, id2))}, ValueError,
+                  "backend must be")]
+        for ambient, fix, error, message in steps:
+            spec = replace(spec, **fix)
+            with pytest.raises(error, match=message):
+                search(spec, ambient, backend="bogus")
+
     def test_support_out_of_range(self, n2):
         with pytest.raises(ValueError):
             search(SearchSpec(AybeTarget(), support=((5, 0),)), n2)
@@ -178,45 +217,65 @@ class TestBackendAgreement:
         baseline = search(spec, n2, backend="exact")
         assert search(spec, n2, backend=backend) == baseline
 
-    def test_env_flag_forces_numpy(self, dx2, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert kernels.resolve_backend(10 ** 6) == "numpy"
-        baseline = search(SearchSpec(AybeTarget()), dx2, backend="exact")
-        assert search(SearchSpec(AybeTarget()), dx2) == baseline
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("case", ("alpha-beta-rb", "lie-alpha-power-rb",
+                                      "tau-sigma-derivation", "commute-with"))
+    def test_every_target_kind(self, n2, dx2, id2, sgn, neg_x, monkeypatch,
+                               case, grid):
+        # the two-dimensional Lie algebra [e0, e1] = e1, twisted by e1 -> -e1
+        lie = HomLie(BilinearOp.from_products(2, {(0, 1): (0, 1),
+                                                  (1, 0): (0, -1)}),
+                     diag(1, -1))
+        target, ambient = {
+            "alpha-beta-rb": (RBTarget(AlphaBetaRB(id2, sgn)), n2),
+            "lie-alpha-power-rb": (RBTarget(LieAlphaPowerRB(lie.alpha, 1)),
+                                   lie),
+            "tau-sigma-derivation": (
+                DerivationTarget(TauSigmaDerivation(neg_x, id2)), dx2),
+            "commute-with": (RBTarget(BraceRB(id2, id2), commute_with=(sgn,)),
+                             n2),
+        }[case]
+        spec = SearchSpec(target, coefficients=tuple(F(c) for c in grid))
+        fast_calls = []
+        survivors = kernels.fast_survivors
+
+        def counted(problem):
+            fast_calls.append(problem)
+            return survivors(problem)
+
+        monkeypatch.setattr(kernels, "fast_survivors", counted)
+        baseline = search(spec, ambient, backend="exact")
+        assert baseline and not fast_calls
+        assert search(spec, ambient, backend="numpy") == baseline
+        assert len(fast_calls) == 1
 
     def test_non_integer_coefficients_fall_back_to_exact(self, dx2):
         spec = SearchSpec(AybeTarget(),
                           coefficients=(F(0), F(1, 2)))
-        sols = search(spec, dx2)  # grid contains 1/2: integer paths unusable
+        # grid contains 1/2: integer paths unusable
+        sols = search(spec, dx2, backend="numpy")
         assert Tensor2.from_pairs(2, {(1, 1): F(1, 2)}) in sols
 
     def test_huge_values_fall_back_to_exact(self, dx2):
-        big = F(2) ** 40
-        spec = SearchSpec(AybeTarget(), support=((1, 1),),
+        big = F(2) ** 40  # products of two (0, 0) slots reach 2^81
+        spec = SearchSpec(AybeTarget(), support=((0, 0), (1, 1)),
                           coefficients=(F(0), big))
-        sols = search(spec, dx2)
+        sols = search(spec, dx2, backend="numpy")
         assert Tensor2.from_pairs(2, {(1, 1): big}) in sols
 
 
 class TestKernels:
-    def test_resolve_backend_rules(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+    def test_resolve_backend_rules(self):
         assert kernels.resolve_backend(100) == "exact"  # tiny space
         big = kernels.SMALL_SPACE + 1
         assert kernels.resolve_backend(big) == "numpy"
-        assert kernels.resolve_backend(big, int_data=False) == "exact"
-        assert kernels.resolve_backend(big, bound_ok=False) == "exact"
-        monkeypatch.setenv(kernels.ENV_VAR, "exact")
-        assert kernels.resolve_backend(big) == "exact"
-        monkeypatch.setenv(kernels.ENV_VAR, "bogus")
+        assert kernels.resolve_backend(big, "auto") == "numpy"
+        assert kernels.resolve_backend(100, "numpy") == "numpy"
+        assert kernels.resolve_backend(big, "exact") == "exact"
         with pytest.raises(ValueError):
-            kernels.resolve_backend(big)
+            kernels.resolve_backend(big, "bogus")
 
-    def test_numba_backend_was_removed(self, dx2, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        with pytest.raises(ValueError, match="removed"):
-            search(SearchSpec(AybeTarget()), dx2)
-        monkeypatch.delenv(kernels.ENV_VAR)
+    def test_numba_backend_was_removed(self, dx2):
         with pytest.raises(ValueError, match="removed"):
             search(SearchSpec(AybeTarget()), dx2, backend="numba")
 
@@ -224,16 +283,33 @@ class TestKernels:
         with pytest.raises(ValueError):
             search(SearchSpec(AybeTarget()), dx2, backend="bogus")
 
-    def test_magnitude_bound_is_small_for_catalogue(self, m2):
-        import numpy as np
-        mu = np.array([[[int(x) for x in row] for row in plane]
-                       for plane in m2.mu.cube], dtype=np.int64)
-        ident = np.eye(4, dtype=np.int64)
+    def test_magnitude_bound_is_small_for_catalogue(self, m2, id4):
         slots = [(i, j) for i in range(4) for j in range(4)]
-        problem = kernels.GridProblem("aybe", 4, mu, ident, ident,
-                                      kernels.empty_commute(4), slots)
+        problem = kernels.grid_problem("aybe", m2.mu, (id4, id4), slots,
+                                       (F(-1), F(0), F(1)))
+        assert problem is not None
         bound = kernels.magnitude_bound(problem, 1)
         assert 0 < bound < kernels.INT64_SAFE
+
+    def test_grid_problem_needs_integers_within_the_bound(self, dx2, id2):
+        slots = [(0, 0)]  # r = c e0 (x) e0; the bound is 2 c^2, from t13 + t23
+
+        def problem(coefficients, maps=(id2, id2)):
+            return kernels.grid_problem("aybe", dx2.mu, maps, slots,
+                                        coefficients)
+
+        assert problem((F(0), F(1))) is not None
+        assert problem((F(0), F(1, 2))) is None
+        assert problem((F(0), F(1)), (id2, diag(1, F(1, 2)))) is None
+        assert problem((F(0), F(2) ** 30)) is not None
+        assert problem((F(0), F(2) ** 31)) is None
+
+    def test_map_pair_problem_has_no_twists(self, n2):
+        problem = kernels.grid_problem("map-pair", n2.mu, (), [(0, 0)],
+                                       (F(0), F(1)))
+        assert problem.n_slots == 2
+        assert not problem.left.any() and not problem.right.any()
+        assert problem.commute.shape == (0, 2, 2)
 
 
 class TestTwistFactory:

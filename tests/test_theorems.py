@@ -50,8 +50,12 @@ def diag(*values):
 
 class TestRegistryDispatch:
     def test_unknown_id(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as run:
             verify_theorem("T99")
+        with pytest.raises(KeyError) as generate:
+            catalogue_instances("T99")
+        assert str(run.value) == str(generate.value)
+        assert "expected one of T1, T2" in str(run.value)
 
     def test_every_id_has_instances(self):
         for tid in THEOREM_IDS:
@@ -192,7 +196,8 @@ class TestConstructionAgreement:
     @pytest.mark.parametrize("index", range(len(_broken_instances())))
     def test_same_failed_hypothesis(self, index):
         tid, name, recorded, args, construction = _broken_instances()[index]
-        report = theorems._RUNNERS[tid](*args)
+        runner, _ = theorems._THEOREMS[tid]
+        report = runner(*args)
         assert report.failed_hypothesis == f"hypothesis:{name}"
         # the rest of the failed list is recorded, then nothing
         assert len(report.sub_verdicts) == recorded
