@@ -1,11 +1,14 @@
-"""Independent dense oracle for the tensor contractions.
+"""Independent dense oracle for the tensor contractions and the law checkers.
 
 Each reference below is written straight from the docstring formula of the
 function it checks: it loops over every index, with no sparsity shortcut
 and no shared code with ``bihomcheck``, so a slip in a hand-optimised
 contraction cannot be repeated here.  Inputs are random dim-2 and dim-3
 data with entries in {-1, 0, 1, 1/2, 2}, plus catalogue bialgebras with one
-coproduct entry changed (near misses that keep some verdicts passing).
+coproduct entry changed (near misses that keep some verdicts passing).  The
+law checkers also get the catalogue products, Yau-twisted by two catalogue
+structure maps or not, with one entry changed; their references compare the
+verdict, the law and the full witness.
 """
 
 import itertools
@@ -26,16 +29,32 @@ from bihomcheck.exactlin import (
     LinearMap,
     ShapeError,
     Tensor2,
+    bilinear_equal,
     compose_delta,
+    is_algebra_map,
     map_tensor2,
 )
 from bihomcheck.structures import (
+    AlphaBetaRB,
     BiHomAlgebra,
+    BiHomDendriform,
+    BraceRB,
     HomAlgebra,
     HomCoalgebra,
+    HomLie,
+    HomPreLie,
     InfHomBialgebra,
+    ParenRB,
+    TauSigmaDerivation,
+    check_aybe,
+    check_bihom_associative,
+    check_bihom_dendriform,
     check_hom_coassociative,
+    check_hom_lie,
+    check_hom_novikov,
+    check_hom_prelie,
     check_infinitesimal_compat,
+    kind_law,
 )
 
 F = Fraction
@@ -262,3 +281,441 @@ def test_check_infinitesimal_compat(bundle):
     got = check_infinitesimal_compat(InfHomBialgebra(
         BilinearOp(mu), Comultiplication(delta), LinearMap(al)))
     assert got == ref_infinitesimal_compat(mu, delta, al, len(mu))
+
+
+# ---------------------------------------------------------------------------
+# Law checkers.  Each reference scans its index tuples in lexicographic
+# order, law by law in the checker's documented order, and returns the first
+# failing verdict with both sides in full.
+# ---------------------------------------------------------------------------
+
+def col(f, p):
+    """f(e_p): column p of the grid f."""
+    return [row[p] for row in f]
+
+
+def app(f, v):
+    """f(v)[u] = sum_p f[u][p] v[p]."""
+    return [sum(f[u][p] * v[p] for p in range(len(v))) for u in range(len(f))]
+
+
+def mul(mu, x, y):
+    """(xy)[k] = sum_{a,b} x[a] y[b] mu[a][b][k]."""
+    d = len(mu)
+    return [sum(x[a] * y[b] * mu[a][b][k] for a in range(d) for b in range(d))
+            for k in range(d)]
+
+
+def unit_vector(d, i):
+    return [1 if t == i else 0 for t in range(d)]
+
+
+def add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def scan(law, d, arity, lhs, rhs):
+    """The first tuple of range(d)**arity where lhs and rhs differ; a scalar
+    side is witnessed as a 1-tuple."""
+    for t in itertools.product(range(d), repeat=arity):
+        a, b = lhs(*t), rhs(*t)
+        if a != b:
+            return CheckVerdict.fail(law, t, *(x if isinstance(x, list) else (x,)
+                                               for x in (a, b)))
+    return None
+
+
+def first(*laws):
+    """The first failing law; each law is a thunk, evaluated in order."""
+    for law in laws:
+        v = law()
+        if v is not None:
+            return v
+    return CheckVerdict.ok()
+
+
+def ref_commute(f, g, law, d):
+    """f(g(e_j)) = g(f(e_j)) for every j."""
+    return scan(law, d, 1, lambda j: app(f, col(g, j)),
+                lambda j: app(g, col(f, j)))
+
+
+def ref_multiplicative(f, mu, law, d):
+    """f(e_i e_j) = f(e_i) f(e_j) for every pair."""
+    return scan(law, d, 2, lambda i, j: app(f, mu[i][j]),
+                lambda i, j: mul(mu, col(f, i), col(f, j)))
+
+
+def ref_algebra_map(f, mu, d):
+    return first(lambda: ref_multiplicative(f, mu, "multiplicative", d))
+
+
+def ref_bilinear_equal(m1, m2, d):
+    """m1[i][j][k] = m2[i][j][k] for every triple."""
+    return first(lambda: scan("equal", d, 3, lambda i, j, k: m1[i][j][k],
+                              lambda i, j, k: m2[i][j][k]))
+
+
+def ref_bihom_associative(mu, al, be, unit, d):
+    """alpha beta = beta alpha, alpha and beta multiplicative,
+    alpha(x)(yz) = (xy)beta(z); then with a unit 1: alpha(1) = 1,
+    beta(1) = 1, and for each i in turn e_i 1 = alpha(e_i) (right unit)
+    and 1 e_i = beta(e_i) (left unit)."""
+    def unit_laws():
+        for law, f in (("unit-alpha-fixed", al), ("unit-beta-fixed", be)):
+            if app(f, unit) != list(unit):
+                return CheckVerdict.fail(law, (), app(f, unit), unit)
+        for i in range(d):
+            e = unit_vector(d, i)
+            if mul(mu, e, unit) != col(al, i):
+                return CheckVerdict.fail("right-unit", (i,), mul(mu, e, unit),
+                                         col(al, i))
+            if mul(mu, unit, e) != col(be, i):
+                return CheckVerdict.fail("left-unit", (i,), mul(mu, unit, e),
+                                         col(be, i))
+        return None
+
+    return first(
+        lambda: ref_commute(al, be, "structure-maps-commute", d),
+        lambda: ref_multiplicative(al, mu, "alpha-multiplicative", d),
+        lambda: ref_multiplicative(be, mu, "beta-multiplicative", d),
+        lambda: scan("bihom-associativity", d, 3,
+                     lambda i, j, k: mul(mu, col(al, i), mu[j][k]),
+                     lambda i, j, k: mul(mu, mu[i][j], col(be, k))),
+        lambda: None if unit is None else unit_laws())
+
+
+def ref_bihom_dendriform(prec, succ, al, be, d):
+    """alpha beta = beta alpha; alpha, beta multiplicative for < and >;
+    (x<y)<beta(z) = alpha(x)<(y<z + y>z), (x>y)<beta(z) = alpha(x)>(y<z),
+    alpha(x)>(y>z) = (x<y + x>y)>beta(z)."""
+    return first(
+        lambda: ref_commute(al, be, "structure-maps-commute", d),
+        lambda: ref_multiplicative(al, prec, "alpha-prec-multiplicative", d),
+        lambda: ref_multiplicative(al, succ, "alpha-succ-multiplicative", d),
+        lambda: ref_multiplicative(be, prec, "beta-prec-multiplicative", d),
+        lambda: ref_multiplicative(be, succ, "beta-succ-multiplicative", d),
+        lambda: scan("dend-left", d, 3,
+                     lambda i, j, k: mul(prec, prec[i][j], col(be, k)),
+                     lambda i, j, k: mul(prec, col(al, i),
+                                         add(prec[j][k], succ[j][k]))),
+        lambda: scan("dend-middle", d, 3,
+                     lambda i, j, k: mul(prec, succ[i][j], col(be, k)),
+                     lambda i, j, k: mul(succ, col(al, i), prec[j][k])),
+        lambda: scan("dend-right", d, 3,
+                     lambda i, j, k: mul(succ, col(al, i), succ[j][k]),
+                     lambda i, j, k: mul(succ, add(prec[i][j], succ[i][j]),
+                                         col(be, k))))
+
+
+def ref_hom_prelie(mu, al, d):
+    """alpha multiplicative; the associator
+    as(x, y, z) = alpha(x)(yz) - (xy)alpha(z) equals as(y, x, z)."""
+    def associator(i, j, k):
+        return sub(mul(mu, col(al, i), mu[j][k]), mul(mu, mu[i][j], col(al, k)))
+
+    return first(
+        lambda: ref_multiplicative(al, mu, "alpha-multiplicative", d),
+        lambda: scan("prelie-associator-symmetry", d, 3, associator,
+                     lambda i, j, k: associator(j, i, k)))
+
+
+def ref_hom_novikov(mu, al, d):
+    """The Hom-pre-Lie laws, then (xy)alpha(z) = (xz)alpha(y)."""
+    v = ref_hom_prelie(mu, al, d)
+    if not v.passed:
+        return v
+    return first(
+        lambda: scan("right-commutativity", d, 3,
+                     lambda i, j, k: mul(mu, mu[i][j], col(al, k)),
+                     lambda i, j, k: mul(mu, mu[i][k], col(al, j))))
+
+
+def ref_hom_lie(br, al, d):
+    """[x, y] = -[y, x]; alpha multiplicative for the bracket;
+    [alpha(x), [y, z]] + [alpha(y), [z, x]] + [alpha(z), [x, y]] = 0."""
+    return first(
+        lambda: scan("skew-symmetry", d, 2, lambda i, j: br[i][j],
+                     lambda i, j: [-x for x in br[j][i]]),
+        lambda: ref_multiplicative(al, br, "alpha-bracket-multiplicative", d),
+        lambda: scan("hom-jacobi", d, 3,
+                     lambda i, j, k: add(add(mul(br, col(al, i), br[j][k]),
+                                             mul(br, col(al, j), br[k][i])),
+                                         mul(br, col(al, k), br[i][j])),
+                     lambda i, j, k: [F(0)] * d))
+
+
+def ref_aybe(mu, al, be, r, d):
+    """(alpha (x) alpha)(r) = r, (beta (x) beta)(r) = r, each entry by
+    entry, then every entry of the residue vanishes."""
+    def invariance(law, f):
+        image = ref_map_tensor2(f, f, r, d)
+        return scan(law, d, 2, lambda i, j: image[i][j], lambda i, j: r[i][j])
+
+    return first(
+        lambda: invariance("alpha-invariance", al),
+        lambda: invariance("beta-invariance", be),
+        lambda: scan("yang-baxter-residue", d, 3,
+                     lambda i, j, k, t=ref_residue(mu, al, be, r, d): t[i][j][k],
+                     lambda i, j, k: F(0)))
+
+
+def ref_kind_law(X, mu, form, sigma, tau, commutes, d):
+    """X commutes with each named map in turn, then on every pair (a, b):
+    derivation  X(ab) = X(a)tau(b) + sigma(a)X(b);
+    paren-rb    X(a)X(b) = X(sigma(X(a))b + a tau(X(b)));
+    brace-rb    X(sigma(a))X(tau(b)) = X(sigma(a)X(b) + X(a)tau(b))."""
+    e = [unit_vector(d, i) for i in range(d)]
+    if form == "derivation":
+        law = ("leibniz", lambda i, j: app(X, mu[i][j]),
+               lambda i, j: add(mul(mu, col(X, i), col(tau, j)),
+                                mul(mu, col(sigma, i), col(X, j))))
+    elif form == "paren-rb":
+        law = ("rb-identity", lambda i, j: mul(mu, col(X, i), col(X, j)),
+               lambda i, j: app(X, add(mul(mu, app(sigma, col(X, i)), e[j]),
+                                       mul(mu, e[i], app(tau, col(X, j))))))
+    else:
+        law = ("rb-identity",
+               lambda i, j: mul(mu, app(X, col(sigma, i)), app(X, col(tau, j))),
+               lambda i, j: app(X, add(mul(mu, col(sigma, i), col(X, j)),
+                                       mul(mu, col(X, i), col(tau, j)))))
+    return first(
+        *(lambda name=name, f=f: ref_commute(X, f, f"commutes-with-{name}", d)
+          for name, f in commutes),
+        lambda: scan(law[0], d, 2, law[1], law[2]))
+
+
+# ---------------------------------------------------------------------------
+# Law inputs: noncommutative m2 next to n2, na2 and dx2, structure maps that
+# differ (sigma != tau, alpha != beta), Yau-twisted products that pass, and
+# near misses with one entry replaced, which usually fail at several tuples
+# ---------------------------------------------------------------------------
+
+ALGEBRA_MAPS = {"n2": ("id2", "sgn"), "na2": ("id2",), "dx2": ("id2", "neg_x"),
+                "m2": ("id4", "conj_d")}
+
+
+def twisted(mu, f, g, d):
+    """mu(f(x), g(y)) as a cube."""
+    return [[mul(mu, col(f, i), col(g, j)) for j in range(d)] for i in range(d)]
+
+
+def post(f, mu, d):
+    """f(xy) as a cube."""
+    return [[app(f, mu[i][j]) for j in range(d)] for i in range(d)]
+
+
+def commutator_cube(mu, d):
+    return [[sub(mu[i][j], mu[j][i]) for j in range(d)] for i in range(d)]
+
+
+def as_lists(x):
+    """Nested lists of exact scalars, with integral values as ``int``: the
+    references then run on ``int`` arithmetic wherever they can."""
+    if isinstance(x, (list, tuple)):
+        return [as_lists(y) for y in x]
+    return int(x) if x.denominator == 1 else x
+
+
+def replace_one(draw, grid):
+    """``grid`` (a vector, matrix or cube) as lists, with one entry replaced."""
+    grid = as_lists(grid)
+    cell = grid
+    while isinstance(cell[0], list):
+        cell = cell[draw(st.integers(0, len(cell) - 1))]
+    cell[draw(st.integers(0, len(cell) - 1))] = as_lists(draw(entries))
+    return grid
+
+
+def perturbed(draw, grid):
+    """``grid`` as lists, with at most one entry replaced."""
+    return replace_one(draw, grid) if draw(st.booleans()) else as_lists(grid)
+
+
+@st.composite
+def law_data(draw):
+    """(d, mu, alpha, beta, unit): random dim-2/3 data, or a catalogue product
+    with two of its algebra maps, Yau-twisted or not, and at most one entry
+    of the product, a map or the unit replaced."""
+    if draw(st.integers(0, 2)) == 0:
+        d = draw(dims)
+        unit = draw(st.one_of(st.none(), st.tuples(*[entries] * d)))
+        return (d, as_lists(draw(cubes(d))), as_lists(draw(maps(d)).entries),
+                as_lists(draw(maps(d)).entries), unit and tuple(as_lists(unit)))
+    name = draw(st.sampled_from(tuple(ALGEBRA_MAPS)))
+    base = catalogue_entry(name).structure
+    d = base.dim
+    al, be = (as_lists(catalogue_entry(draw(st.sampled_from(ALGEBRA_MAPS[name])))
+                       .structure.entries) for _ in range(2))
+    mu = as_lists(base.mu.cube)
+    if draw(st.booleans()):
+        mu = twisted(mu, al, be, d)
+    unit = tuple(as_lists(base.unit)) if base.unit else None
+    which = draw(st.sampled_from(("none", "mu", "alpha", "beta", "unit")))
+    if which == "mu":
+        mu = replace_one(draw, mu)
+    elif which == "alpha":
+        al = replace_one(draw, al)
+    elif which == "beta":
+        be = replace_one(draw, be)
+    elif which == "unit" and unit is not None:
+        unit = tuple(replace_one(draw, unit))
+    return d, mu, al, be, unit
+
+
+def operators(d):
+    """Sparse operators: most entries zero, so that laws often pass."""
+    cells = st.one_of(st.just(F(0)), st.just(F(0)), entries)
+    return st.lists(st.lists(cells, min_size=d, max_size=d),
+                    min_size=d, max_size=d)
+
+
+@ORACLE
+@given(law_data())
+def test_is_algebra_map(data):
+    d, mu, al, _, _ = data
+    assert is_algebra_map(LinearMap(al), BilinearOp(mu)) == \
+        ref_algebra_map(al, mu, d)
+
+
+@ORACLE
+@given(law_data(), st.data())
+def test_bilinear_equal(data, draw):
+    d, mu, _, _, _ = data
+    other = perturbed(draw.draw, mu)
+    assert bilinear_equal(BilinearOp(mu), BilinearOp(other)) == \
+        ref_bilinear_equal(mu, other, d)
+
+
+@ORACLE
+@given(law_data())
+def test_check_bihom_associative(data):
+    d, mu, al, be, unit = data
+    got = check_bihom_associative(
+        BiHomAlgebra(BilinearOp(mu), LinearMap(al), LinearMap(be), unit))
+    assert got == ref_bihom_associative(mu, al, be, unit, d)
+
+
+@st.composite
+def unital_data(draw):
+    """A unital catalogue product Yau-twisted by two of its algebra maps, so
+    that every law before the unit laws passes, with its unit, a near miss
+    of it or a random vector."""
+    name = draw(st.sampled_from(("dx2", "m2")))
+    base = catalogue_entry(name).structure
+    d = base.dim
+    al, be = (as_lists(catalogue_entry(draw(st.sampled_from(ALGEBRA_MAPS[name])))
+                       .structure.entries) for _ in range(2))
+    unit = draw(st.sampled_from(("unit", "near", "random")))
+    if unit == "random":
+        unit = draw(st.tuples(*[entries] * d))
+    unit = tuple(replace_one(draw, base.unit) if unit == "near"
+                 else as_lists(base.unit if unit == "unit" else unit))
+    return d, twisted(as_lists(base.mu.cube), al, be, d), al, be, unit
+
+
+@ORACLE
+@given(unital_data())
+def test_check_bihom_associative_unit_laws(data):
+    d, mu, al, be, unit = data
+    got = check_bihom_associative(
+        BiHomAlgebra(BilinearOp(mu), LinearMap(al), LinearMap(be), unit))
+    assert got == ref_bihom_associative(mu, al, be, unit, d)
+
+
+def test_left_unit_before_later_right_unit(m2, id4):
+    # u = e11 + e21 + e22: e11 u = e11 but u e11 = e11 + e21, and e12 u =
+    # e11 + e12, so left-unit fails at 0 before right-unit fails at 1
+    unit = (F(1), F(0), F(1), F(1))
+    mu, ident = as_lists(m2.mu.cube), as_lists(id4.entries)
+    got = check_bihom_associative(BiHomAlgebra(m2.mu, id4, id4, unit))
+    assert got == ref_bihom_associative(mu, ident, ident, unit, 4)
+    assert (got.law, got.witness.indices) == ("left-unit", (0,))
+    assert mul(mu, unit_vector(4, 1), unit) != unit_vector(4, 1)
+
+
+@ORACLE
+@given(law_data(), st.data())
+def test_check_bihom_dendriform(data, draw):
+    d, mu, al, be, _ = data
+    zero = zero_cube(d)
+    prec, succ = draw.draw(st.sampled_from(
+        ((mu, zero), (zero, mu), (mu, mu), (mu, commutator_cube(mu, d)))))
+    prec, succ = perturbed(draw.draw, prec), perturbed(draw.draw, succ)
+    got = check_bihom_dendriform(BiHomDendriform(
+        BilinearOp(prec), BilinearOp(succ), LinearMap(al), LinearMap(be)))
+    assert got == ref_bihom_dendriform(prec, succ, al, be, d)
+
+
+@ORACLE
+@given(law_data(), st.booleans())
+def test_check_hom_prelie_and_novikov(data, post_twist):
+    d, mu, al, _, _ = data
+    if post_twist:
+        mu = post(al, mu, d)
+    p = HomPreLie(BilinearOp(mu), LinearMap(al))
+    assert check_hom_prelie(p) == ref_hom_prelie(mu, al, d)
+    assert check_hom_novikov(p) == ref_hom_novikov(mu, al, d)
+
+
+@ORACLE
+@given(law_data(), st.booleans(), st.data())
+def test_check_hom_lie(data, post_twist, draw):
+    d, mu, al, _, _ = data
+    br = commutator_cube(mu, d)
+    if draw.draw(st.booleans()):
+        br = perturbed(draw.draw, br)
+    if post_twist:
+        br = post(al, br, d)
+    got = check_hom_lie(HomLie(BilinearOp(br), LinearMap(al)))
+    assert got == ref_hom_lie(br, al, d)
+
+
+@ORACLE
+@given(law_data(), st.data())
+def test_check_aybe(data, draw):
+    d, mu, al, be, _ = data
+    r = as_lists(draw.draw(operators(d)))
+    if d == 4 and draw.draw(st.booleans()):
+        # near e12 (x) e12, which solves the equation on m2
+        r = perturbed(draw.draw, [[F(1) if (p, q) == (1, 1) else F(0)
+                                   for q in range(4)] for p in range(4)])
+    got = check_aybe(BiHomAlgebra(BilinearOp(mu), LinearMap(al),
+                                  LinearMap(be)), Tensor2(r))
+    assert got == ref_aybe(mu, al, be, r, d)
+
+
+@ORACLE
+@given(law_data(), st.sampled_from(("derivation", "paren-rb", "brace-rb",
+                                    "alpha-beta")), st.data())
+def test_kind_law(data, form, draw):
+    d, mu, sigma, tau, _ = data
+    # sparse, or near sigma - tau (a (tau, sigma)-derivation when sigma and
+    # tau are algebra maps), or near a left multiplication (a Rota-Baxter
+    # operator when its square vanishes)
+    n = draw.draw(st.integers(0, d - 1))
+    X = draw.draw(st.sampled_from((
+        "sparse",
+        [sub(sigma[u], tau[u]) for u in range(d)],
+        [[mu[n][j][k] for j in range(d)] for k in range(d)])))
+    X = as_lists(draw.draw(operators(d))) if X == "sparse" else perturbed(draw.draw, X)
+    if form == "derivation":
+        kind = TauSigmaDerivation(LinearMap(tau), LinearMap(sigma))
+    elif form == "paren-rb":
+        kind = ParenRB(LinearMap(sigma), LinearMap(tau))
+    elif form == "brace-rb":
+        kind = BraceRB(LinearMap(sigma), LinearMap(tau))
+    else:
+        kind = AlphaBetaRB(LinearMap(sigma), LinearMap(tau))
+    commutes = ()
+    if form == "alpha-beta":
+        form = "brace-rb"
+        commutes = (("alpha", sigma), ("beta", tau))
+        sigma = tau = [[sum((sigma[u][q] * tau[q][p] for q in range(d)), F(0))
+                        for p in range(d)] for u in range(d)]
+    got = kind_law(LinearMap(X), BilinearOp(mu), kind)
+    assert got == ref_kind_law(X, mu, form, sigma, tau, commutes, d)

@@ -412,6 +412,29 @@ class TestLawPart:
         assert str(exc.value) == text
 
 
+class TestShapeErrorOrder:
+    """Aggregate checkers stop at the first failing law, but a shape error
+    anywhere in their input is raised before any law is compared."""
+
+    def test_bialgebra_alpha_checked_against_coproduct(self, na2):
+        # na2 fails associativity at (0, 0, 0); alpha does not fit Delta
+        b = InfHomBialgebra(na2.mu, Comultiplication.zero(3),
+                            LinearMap.identity(2))
+        with pytest.raises(ShapeError, match=r"^alpha must be a 3x3 map$"):
+            check_inf_hom_bialgebra(b)
+
+    @pytest.mark.parametrize("alpha", ["id4", "conj_d"])
+    @pytest.mark.parametrize("X", [LinearMap.zero(4, 4), LinearMap.identity(4),
+                                   LinearMap.from_columns(
+                                       [[0] * 4, [1, 0, 0, 0], [0] * 4, [0] * 4])])
+    def test_kind_law_non_square_beta(self, m2, request, alpha, X):
+        # the X sending e12 to e11 fails commutes-with-alpha for conj_d, and
+        # the 4x5 beta still raises
+        kind = AlphaBetaRB(request.getfixturevalue(alpha), LinearMap.zero(4, 5))
+        with pytest.raises(ShapeError, match=r"^cannot compose: 5 != 4$"):
+            kind_law(X, m2.mu, kind)
+
+
 class TestAybe:
     def test_zero_tensor(self, m2):
         assert check_aybe(m2, Tensor2.zero(4)).passed
