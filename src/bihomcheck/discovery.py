@@ -13,7 +13,9 @@ candidate matrices (2 for map pairs, else 1), ``decode(*grids)`` builds the
 candidate from its coefficient grids, and ``plan(ambient, mu)`` returns the
 exact certifier, the kernel form and the maps of the kernel problem (left
 twist, right twist, then the maps a candidate must commute with).  Whether
-the int64 fast path can run is decided in ``kernels``.
+the int64 fast path can run is decided in ``kernels``, which (with numpy)
+is imported by the first search, so commands that never search do not load
+numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernels
 from .constructions import (
     InternalInconsistencyError,
     PreconditionError,
@@ -48,7 +49,6 @@ from .structures import (
     HomLie,
     InfHomBialgebra,
     RBKind,
-    _relabel,
     check_aybe,
     check_bihom_associative,
     check_derivation,
@@ -225,6 +225,7 @@ def search(spec: SearchSpec, ambient, backend: str | None = None) -> list:
             f"{total} candidates exceed the budget of {spec.budget}")
 
     certify, form, maps = target.plan(ambient, mu)
+    from . import kernels  # numpy loads on the first search, not at start-up
     problem = None
     if kernels.resolve_backend(total, backend) == "numpy":
         problem = kernels.grid_problem(form, mu, maps, slots, coefficients)
@@ -403,7 +404,7 @@ def _twist_bialgebra(b: InfHomBialgebra, al: LinearMap) -> InfHomBialgebra:
     """(al o mu, Delta o al, al) from a classical infinitesimal bialgebra."""
     yield [("classical-base", b.alpha.is_identity),
            ("alpha-algebra-map", is_algebra_map, al, b.mu)]
-    yield [("alpha-coalgebra-map", lambda: _relabel(
-        is_coalgebra_map(al, b.delta), "alpha-coalgebra-map"))]
+    yield [("alpha-coalgebra-map", is_coalgebra_map, al, b.delta,
+            "alpha-coalgebra-map")]
     return InfHomBialgebra(_post_product(al, b.mu),
                            compose_delta(b.delta, al), al)

@@ -14,8 +14,13 @@ Conventions, fixed once and used by the serializer as well:
   ``e_i . e_j = sum_k c[i][j][k] e_k``.
 * ``Comultiplication`` stores ``d[i][j][k]`` with
   ``delta(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k``.
-* Checkers scan index tuples in lexicographic order and report the smallest
-  failing tuple, so counterexamples are diff-friendly.
+* Every law is an identity ``lhs = rhs`` over basis tuples.
+  ``identity(law, dim, arity, lhs, rhs)`` lists its comparisons
+  ``(law, idx, lhs(*idx), rhs(*idx))`` for ``idx`` in ``range(dim)**arity``
+  in lexicographic order.  ``first_failure`` is the one comparison loop: it
+  reads a stream of such comparisons and verdicts lazily, in order, and
+  returns the first that fails, so a checker stops at its first failing
+  tuple and reports the smallest one.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 Scalar = Fraction
@@ -228,17 +233,8 @@ class Tensor2:
             grid[i][j] = frac(c)
         return Tensor2(grid)
 
-    def __add__(self, other: Tensor2) -> Tensor2:
-        if self.dim != other.dim:
-            raise ShapeError("Tensor2 dims differ")
-        return Tensor2(tuple(vec_add(a, b)
-                             for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> Tensor2:
         return Tensor2(tuple(vec_scale(-1, row) for row in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(not c for row in self.coeffs for c in row)
 
 
 @dataclass(frozen=True)
@@ -333,11 +329,23 @@ class CheckVerdict:
         return CheckVerdict(False, law, Witness(tuple(indices), lhs, rhs))
 
 
-def first_failure(verdicts: Iterable[CheckVerdict]) -> CheckVerdict:
-    """Aggregate: the first failing verdict, else pass."""
-    for v in verdicts:
-        if not v.passed:
-            return v
+def identity(law: str, dim: int, arity: int, lhs, rhs) -> Iterator[tuple]:
+    """The comparisons ``(law, idx, lhs(*idx), rhs(*idx))`` of one law, for
+    every ``idx`` in ``range(dim)**arity`` in lexicographic order."""
+    for idx in itertools.product(range(dim), repeat=arity):
+        yield law, idx, lhs(*idx), rhs(*idx)
+
+
+def first_failure(checks: Iterable) -> CheckVerdict:
+    """The first failing item of ``checks``, read lazily and in order, else
+    pass.  An item is a CheckVerdict or a comparison ``(law, indices, lhs,
+    rhs)``, which fails when ``lhs != rhs``."""
+    for c in checks:
+        if isinstance(c, CheckVerdict):
+            if not c.passed:
+                return c
+        elif c[2] != c[3]:
+            return CheckVerdict.fail(*c)
     return CheckVerdict.ok()
 
 
@@ -394,10 +402,6 @@ def invert(f: LinearMap) -> LinearMap:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return LinearMap(tuple(tuple(row[n:]) for row in aug))
-
-
-def apply_bilinear(m: BilinearOp, u: Vector, v: Vector) -> Vector:
-    return m.apply(u, v)
 
 
 def nonzero_entries(grid: Sequence[Sequence]) -> list[tuple[int, int, Fraction]]:
@@ -464,20 +468,18 @@ def map_tensor2(f: LinearMap, g: LinearMap, t: Tensor2) -> Tensor2:
         for p, q, c in nonzero_entries(t.coeffs)]))
 
 
-def is_algebra_map(f: LinearMap, m: BilinearOp) -> CheckVerdict:
-    """Pass iff f(e_i . e_j) = f(e_i) . f(e_j) for all basis pairs."""
+def is_algebra_map(f: LinearMap, m: BilinearOp,
+                   law: str = "multiplicative") -> CheckVerdict:
+    """Pass iff f(e_i . e_j) = f(e_i) . f(e_j) for all basis pairs; a failure
+    is reported under ``law``."""
     if f.dim_in != f.dim_out:
         raise ShapeError("algebra maps are endomorphisms")
     if f.dim_in != m.dim:
         raise ShapeError("map and product dims differ")
-    d = m.dim
-    images = [f.column(j) for j in range(d)]
-    for i, j in itertools.product(range(d), repeat=2):
-        lhs = f.apply(m.basis_product(i, j))
-        rhs = m.apply(images[i], images[j])
-        if lhs != rhs:
-            return CheckVerdict.fail("multiplicative", (i, j), lhs, rhs)
-    return CheckVerdict.ok()
+    images = [f.column(j) for j in range(m.dim)]
+    return first_failure(identity(
+        law, m.dim, 2, lambda i, j: f.apply(m.basis_product(i, j)),
+        lambda i, j: m.apply(images[i], images[j])))
 
 
 def compose_delta(delta: Comultiplication, f: LinearMap) -> Comultiplication:
@@ -493,26 +495,22 @@ def compose_delta(delta: Comultiplication, f: LinearMap) -> Comultiplication:
         for j, k, c in nonzero_entries(delta.cube[p])]))
 
 
-def is_coalgebra_map(f: LinearMap, delta: Comultiplication) -> CheckVerdict:
-    """Pass iff (f (x) f)(Delta(e_m)) = Delta(f(e_m)) for all basis indices."""
+def is_coalgebra_map(f: LinearMap, delta: Comultiplication,
+                     law: str = "comultiplicative") -> CheckVerdict:
+    """Pass iff (f (x) f)(Delta(e_m)) = Delta(f(e_m)) for all basis indices,
+    compared as flattened coefficient grids; a failure is reported under
+    ``law``."""
     after = compose_delta(delta, f)
-    for m in range(delta.dim):
-        lhs = map_tensor2(f, f, delta.image(m))
-        rhs = after.image(m)
-        if lhs != rhs:
-            return CheckVerdict.fail("comultiplicative", (m,),
-                                     [x for r in lhs.coeffs for x in r],
-                                     [x for r in rhs.coeffs for x in r])
-    return CheckVerdict.ok()
+    return first_failure(identity(
+        law, delta.dim, 1,
+        lambda m: sum(map_tensor2(f, f, delta.image(m)).coeffs, ()),
+        lambda m: sum(after.cube[m], ())))
 
 
 def bilinear_equal(m1: BilinearOp, m2: BilinearOp) -> CheckVerdict:
     """Pass iff all structure constants agree; first differing (i,j,k) else."""
     if m1.dim != m2.dim:
         raise ShapeError("bilinear ops have different dims")
-    d = m1.dim
-    for i, j, k in itertools.product(range(d), repeat=3):
-        a, b = m1.cube[i][j][k], m2.cube[i][j][k]
-        if a != b:
-            return CheckVerdict.fail("equal", (i, j, k), a, b)
-    return CheckVerdict.ok()
+    return first_failure(identity("equal", m1.dim, 3,
+                                  lambda i, j, k: m1.cube[i][j][k],
+                                  lambda i, j, k: m2.cube[i][j][k]))

@@ -7,7 +7,13 @@ whose witness is the lexicographically smallest failing tuple.
 
 Aggregate checkers run their constituent laws in a fixed order
 (commutation of the structure maps, multiplicativity, main axiom, unit
-laws) and report the first failure.
+laws) and report the first failure.  Each returns ``first_failure`` of a
+lazy stream of its laws (see :mod:`bihomcheck.exactlin`), so it stops at
+its first failing law (``kind_law`` computes its at most two commutation
+verdicts up front).  Shape errors come first: every shape check of a
+checker runs before its first comparison, so laziness never decides
+between a ShapeError and a verdict.  The one exception is a unit of the
+wrong length, which raises when the unit laws, the last ones, are reached.
 
 Rota-Baxter operators and twisted derivations come in kinds.  Each kind
 describes itself once: ``parameters()`` lists its parameter maps, which
@@ -40,6 +46,7 @@ from .exactlin import (
     basis_vector,
     compose,
     first_failure,
+    identity,
     is_algebra_map,
     is_coalgebra_map,
     map_tensor2,
@@ -268,38 +275,7 @@ def _require_square(f: LinearMap, dim: int, what: str) -> None:
 def _commutation_verdict(f: LinearMap, g: LinearMap, law: str) -> CheckVerdict:
     """Pass iff f g = g f, witnessing the first differing basis image."""
     fg, gf = compose(f, g), compose(g, f)
-    for j in range(fg.dim_in):
-        a, b = fg.column(j), gf.column(j)
-        if a != b:
-            return CheckVerdict.fail(law, (j,), a, b)
-    return CheckVerdict.ok()
-
-
-def _relabel(v: CheckVerdict, law: str) -> CheckVerdict:
-    """``v`` with a failure reported under ``law``."""
-    if v.passed:
-        return v
-    return CheckVerdict.fail(law, v.witness.indices, v.witness.lhs, v.witness.rhs)
-
-
-def _multiplicative_verdict(f: LinearMap, m: BilinearOp, law: str) -> CheckVerdict:
-    return _relabel(is_algebra_map(f, m), law)
-
-
-def _triple_identity(dim: int, lhs, rhs, law: str) -> CheckVerdict:
-    for i, j, k in itertools.product(range(dim), repeat=3):
-        a, b = lhs(i, j, k), rhs(i, j, k)
-        if a != b:
-            return CheckVerdict.fail(law, (i, j, k), a, b)
-    return CheckVerdict.ok()
-
-
-def _pair_identity(dim: int, lhs, rhs, law: str) -> CheckVerdict:
-    for i, j in itertools.product(range(dim), repeat=2):
-        a, b = lhs(i, j), rhs(i, j)
-        if a != b:
-            return CheckVerdict.fail(law, (i, j), a, b)
-    return CheckVerdict.ok()
+    return first_failure(identity(law, fg.dim_in, 1, fg.column, gf.column))
 
 
 # ---------------------------------------------------------------------------
@@ -311,45 +287,35 @@ def check_bihom_associative(a: BiHomAlgebra) -> CheckVerdict:
 
     Order: structure maps commute, alpha/beta multiplicative, the twisted
     associativity alpha(x)(yz) = (xy)beta(z), then unit laws if a unit is
-    present.  The Hom case is alpha = beta; the classical case is both
-    equal to the identity.
+    present: alpha(1) = 1, beta(1) = 1, then e_i 1 = alpha(e_i) (right unit)
+    and 1 e_i = beta(e_i) (left unit) for each i in turn.  The Hom case is
+    alpha = beta; the classical case is both equal to the identity.
     """
-    mu, al, be = a.mu, a.alpha, a.beta
+    mu, al, be, one = a.mu, a.alpha, a.beta, a.unit
     _require_square(al, mu.dim, "alpha")
     _require_square(be, mu.dim, "beta")
     d = mu.dim
 
-    def assoc_lhs(i, j, k):
-        return mu.apply(al.column(i), mu.basis_product(j, k))
+    def laws():
+        yield _commutation_verdict(al, be, "structure-maps-commute")
+        yield is_algebra_map(al, mu, "alpha-multiplicative")
+        yield is_algebra_map(be, mu, "beta-multiplicative")
+        yield from identity(
+            "bihom-associativity", d, 3,
+            lambda i, j, k: mu.apply(al.column(i), mu.basis_product(j, k)),
+            lambda i, j, k: mu.apply(mu.basis_product(i, j), be.column(k)))
+        if one is None:
+            return
+        basis = [basis_vector(d, i) for i in range(d)]
+        yield "unit-alpha-fixed", (), al.apply(one), one
+        yield "unit-beta-fixed", (), be.apply(one), one
+        yield from itertools.chain.from_iterable(zip(
+            identity("right-unit", d, 1, lambda i: mu.apply(basis[i], one),
+                     al.column),
+            identity("left-unit", d, 1, lambda i: mu.apply(one, basis[i]),
+                     be.column)))
 
-    def assoc_rhs(i, j, k):
-        return mu.apply(mu.basis_product(i, j), be.column(k))
-
-    verdicts = [
-        _commutation_verdict(al, be, "structure-maps-commute"),
-        _multiplicative_verdict(al, mu, "alpha-multiplicative"),
-        _multiplicative_verdict(be, mu, "beta-multiplicative"),
-        _triple_identity(d, assoc_lhs, assoc_rhs, "bihom-associativity"),
-    ]
-    v = first_failure(verdicts)
-    if not v.passed or a.unit is None:
-        return v
-    one = a.unit
-    if al.apply(one) != one:
-        return CheckVerdict.fail("unit-alpha-fixed", (), al.apply(one), one)
-    if be.apply(one) != one:
-        return CheckVerdict.fail("unit-beta-fixed", (), be.apply(one), one)
-    for i in range(d):
-        e = tuple(Fraction(1 if t == i else 0) for t in range(d))
-        lhs = mu.apply(e, one)
-        rhs = al.column(i)
-        if lhs != rhs:
-            return CheckVerdict.fail("right-unit", (i,), lhs, rhs)
-        lhs = mu.apply(one, e)
-        rhs = be.column(i)
-        if lhs != rhs:
-            return CheckVerdict.fail("left-unit", (i,), lhs, rhs)
-    return CheckVerdict.ok()
+    return first_failure(laws())
 
 
 def check_hom_associative(h: HomAlgebra) -> CheckVerdict:
@@ -370,26 +336,26 @@ def check_hom_coassociative(c: HomCoalgebra) -> CheckVerdict:
     (Delta (x) alpha) o Delta = (alpha (x) Delta) o Delta."""
     delta, al = c.delta, c.alpha
     _require_square(al, delta.dim, "alpha")
-    v = is_coalgebra_map(al, delta)
-    if not v.passed:
-        return v
     d = delta.dim
     al_cols = list(zip(*al.entries))
     basis = [basis_vector(d, j) for j in range(d)]
     images = [nonzero_entries(image) for image in delta.cube]
-    for m in range(d):              # Delta(e_m) = sum Delta[m][p][q] e_p (x) e_q
+
+    def left(m):        # Delta(e_m) = sum Delta[m][p][q] e_p (x) e_q
         # (Delta (x) alpha): Delta[p][j][k] e_j (x) e_k (x) alpha(e_q)
-        lt = Tensor3(tensor_sum(d, 3, [
+        return Tensor3(tensor_sum(d, 3, [
             (cpq * cjk, basis[j], basis[k], al_cols[q])
-            for p, q, cpq in images[m] for j, k, cjk in images[p]]))
+            for p, q, cpq in images[m] for j, k, cjk in images[p]])).flatten()
+
+    def right(m):
         # (alpha (x) Delta): alpha(e_p) (x) Delta[q][k][t] e_k (x) e_t
-        rt = Tensor3(tensor_sum(d, 3, [
+        return Tensor3(tensor_sum(d, 3, [
             (cpq * ckt, al_cols[p], basis[k], basis[t])
-            for p, q, cpq in images[m] for k, t, ckt in images[q]]))
-        if lt != rt:
-            return CheckVerdict.fail("hom-coassociativity", (m,),
-                                     lt.flatten(), rt.flatten())
-    return CheckVerdict.ok()
+            for p, q, cpq in images[m] for k, t, ckt in images[q]])).flatten()
+
+    return first_failure(itertools.chain(
+        [is_coalgebra_map(al, delta)],
+        identity("hom-coassociativity", d, 1, left, right)))
 
 
 def check_infinitesimal_compat(b: InfHomBialgebra) -> CheckVerdict:
@@ -404,39 +370,40 @@ def check_infinitesimal_compat(b: InfHomBialgebra) -> CheckVerdict:
     al_cols = list(zip(*al.entries))
     basis = [basis_vector(d, j) for j in range(d)]
     images = [nonzero_entries(image) for image in delta.cube]
-    for i, j in itertools.product(range(d), repeat=2):   # a = e_i, b = e_j
+
+    def lhs(i, j):      # a = e_i, b = e_j
         # Delta(ab): (ab)[m] Delta[m][p][q] e_p (x) e_q
-        lhs = Tensor2(tensor_sum(d, 2, [
+        return sum(tensor_sum(d, 2, [
             (cm * c, basis[p], basis[q])
             for m, cm in enumerate(mu.basis_product(i, j)) if cm
-            for p, q, c in images[m]]))
-        rhs_terms = []
-        for p, q, c in images[j]:               # b_1 (x) b_2 = e_p (x) e_q
-            # alpha(a) b_1 (x) alpha(b_2)
-            rhs_terms.append((c, mu.apply(al_cols[i], basis[p]), al_cols[q]))
-        for p, q, c in images[i]:               # a_1 (x) a_2 = e_p (x) e_q
-            # alpha(a_1) (x) a_2 alpha(b)
-            rhs_terms.append((c, al_cols[p], mu.apply(basis[q], al_cols[j])))
-        rhs = Tensor2(tensor_sum(d, 2, rhs_terms))
-        if lhs != rhs:
-            return CheckVerdict.fail("coproduct-derivation", (i, j),
-                                     [x for r in lhs.coeffs for x in r],
-                                     [x for r in rhs.coeffs for x in r])
-    return CheckVerdict.ok()
+            for p, q, c in images[m]]), [])
+
+    def rhs(i, j):
+        return sum(tensor_sum(d, 2, [
+            # alpha(a) b_1 (x) alpha(b_2), with b_1 (x) b_2 = e_p (x) e_q
+            *((c, mu.apply(al_cols[i], basis[p]), al_cols[q])
+              for p, q, c in images[j]),
+            # alpha(a_1) (x) a_2 alpha(b), with a_1 (x) a_2 = e_p (x) e_q
+            *((c, al_cols[p], mu.apply(basis[q], al_cols[j]))
+              for p, q, c in images[i])]), [])
+
+    return first_failure(identity("coproduct-derivation", d, 2, lhs, rhs))
 
 
 def check_inf_hom_bialgebra(b: InfHomBialgebra) -> CheckVerdict:
     """Hom-algebra laws, then Hom-coalgebra laws, then compatibility."""
-    return first_failure([
-        check_hom_associative(b.algebra()),
-        check_hom_coassociative(b.coalgebra()),
-        check_infinitesimal_compat(b),
-    ])
+    _require_square(b.alpha, b.mu.dim, "alpha")
+    _require_square(b.alpha, b.delta.dim, "alpha")
+    return first_failure(check(part) for check, part in (
+        (check_hom_associative, b.algebra()),
+        (check_hom_coassociative, b.coalgebra()),
+        (check_infinitesimal_compat, b)))
 
 
 def check_bihom_dendriform(d: BiHomDendriform) -> CheckVerdict:
-    """Multiplicativity of both structure maps w.r.t. both operations, then
-    the three splitting axioms in the fixed order left / middle / right."""
+    """Commutation and multiplicativity of both structure maps w.r.t. both
+    operations, then the three splitting axioms in the fixed order left /
+    middle / right."""
     prec, succ, al, be = d.prec, d.succ, d.alpha, d.beta
     if prec.dim != succ.dim:
         raise ShapeError("prec and succ dims differ")
@@ -464,16 +431,18 @@ def check_bihom_dendriform(d: BiHomDendriform) -> CheckVerdict:
         outer = vec_add(prec.basis_product(i, j), succ.basis_product(i, j))
         return succ.apply(outer, be.column(k))
 
-    return first_failure([
-        _commutation_verdict(al, be, "structure-maps-commute"),
-        _multiplicative_verdict(al, prec, "alpha-prec-multiplicative"),
-        _multiplicative_verdict(al, succ, "alpha-succ-multiplicative"),
-        _multiplicative_verdict(be, prec, "beta-prec-multiplicative"),
-        _multiplicative_verdict(be, succ, "beta-succ-multiplicative"),
-        _triple_identity(n, dend_left_lhs, dend_left_rhs, "dend-left"),
-        _triple_identity(n, dend_middle_lhs, dend_middle_rhs, "dend-middle"),
-        _triple_identity(n, dend_right_lhs, dend_right_rhs, "dend-right"),
-    ])
+    def laws():
+        yield _commutation_verdict(al, be, "structure-maps-commute")
+        yield is_algebra_map(al, prec, "alpha-prec-multiplicative")
+        yield is_algebra_map(al, succ, "alpha-succ-multiplicative")
+        yield is_algebra_map(be, prec, "beta-prec-multiplicative")
+        yield is_algebra_map(be, succ, "beta-succ-multiplicative")
+        yield from identity("dend-left", n, 3, dend_left_lhs, dend_left_rhs)
+        yield from identity("dend-middle", n, 3, dend_middle_lhs,
+                            dend_middle_rhs)
+        yield from identity("dend-right", n, 3, dend_right_lhs, dend_right_rhs)
+
+    return first_failure(laws())
 
 
 def check_hom_prelie(p: HomPreLie) -> CheckVerdict:
@@ -481,31 +450,25 @@ def check_hom_prelie(p: HomPreLie) -> CheckVerdict:
     alpha(x)(yz) - (xy)alpha(z) symmetric in x, y."""
     mu, al = p.mu, p.alpha
     _require_square(al, mu.dim, "alpha")
-    d = mu.dim
 
     def associator(i, j, k):
         return vec_sub(mu.apply(al.column(i), mu.basis_product(j, k)),
                        mu.apply(mu.basis_product(i, j), al.column(k)))
 
-    return first_failure([
-        _multiplicative_verdict(al, mu, "alpha-multiplicative"),
-        _triple_identity(d, associator,
-                         lambda i, j, k: associator(j, i, k),
-                         "prelie-associator-symmetry"),
-    ])
+    return first_failure(itertools.chain(
+        [is_algebra_map(al, mu, "alpha-multiplicative")],
+        identity("prelie-associator-symmetry", mu.dim, 3, associator,
+                 lambda i, j, k: associator(j, i, k))))
 
 
 def check_hom_novikov(p: HomPreLie) -> CheckVerdict:
     """Hom-pre-Lie laws plus right commutativity (xy)alpha(z) = (xz)alpha(y)."""
-    v = check_hom_prelie(p)
-    if not v.passed:
-        return v
     mu, al = p.mu, p.alpha
-    return _triple_identity(
-        mu.dim,
-        lambda i, j, k: mu.apply(mu.basis_product(i, j), al.column(k)),
-        lambda i, j, k: mu.apply(mu.basis_product(i, k), al.column(j)),
-        "right-commutativity")
+    return first_failure(itertools.chain(
+        [check_hom_prelie(p)],
+        identity("right-commutativity", mu.dim, 3,
+                 lambda i, j, k: mu.apply(mu.basis_product(i, j), al.column(k)),
+                 lambda i, j, k: mu.apply(mu.basis_product(i, k), al.column(j)))))
 
 
 def check_hom_lie(l: HomLie) -> CheckVerdict:
@@ -514,12 +477,6 @@ def check_hom_lie(l: HomLie) -> CheckVerdict:
     _require_square(al, br.dim, "alpha")
     d = br.dim
 
-    def skew(i, j):
-        return br.basis_product(i, j)
-
-    def neg_swapped(i, j):
-        return tuple(-x for x in br.basis_product(j, i))
-
     def jacobi_lhs(i, j, k):
         t1 = br.apply(al.column(i), br.basis_product(j, k))
         t2 = br.apply(al.column(j), br.basis_product(k, i))
@@ -527,11 +484,14 @@ def check_hom_lie(l: HomLie) -> CheckVerdict:
         return vec_add(vec_add(t1, t2), t3)
 
     zero = (Fraction(0),) * d
-    return first_failure([
-        _pair_identity(d, skew, neg_swapped, "skew-symmetry"),
-        _multiplicative_verdict(al, br, "alpha-bracket-multiplicative"),
-        _triple_identity(d, jacobi_lhs, lambda i, j, k: zero, "hom-jacobi"),
-    ])
+
+    def laws():
+        yield from identity("skew-symmetry", d, 2, br.basis_product,
+                            lambda i, j: tuple(-x for x in br.basis_product(j, i)))
+        yield is_algebra_map(al, br, "alpha-bracket-multiplicative")
+        yield from identity("hom-jacobi", d, 3, jacobi_lhs, lambda i, j, k: zero)
+
+    return first_failure(laws())
 
 
 def _require_parameters(m: BilinearOp, kind: RBKind | DerivationKind) -> None:
@@ -554,10 +514,15 @@ def kind_law(X: LinearMap, m: BilinearOp, kind: RBKind | DerivationKind
     with the kind's commutation maps, then the kind's identity holds on all
     basis pairs.  Its parameters are not checked."""
     _require_square(X, m.dim, "D" if kind.form == "derivation" else "R")
-    v = first_failure([_commutation_verdict(X, f, f"commutes-with-{name}")
-                       for name, f in kind.commutes()])
-    if not v.passed:
-        return v
+    # computed eagerly: a commutation map of the wrong shape raises even
+    # when X fails an earlier commutation
+    commutes = [_commutation_verdict(X, f, f"commutes-with-{name}")
+                for name, f in kind.commutes()]
+    return first_failure(itertools.chain(commutes, _kind_identity(X, m, kind)))
+
+
+def _kind_identity(X: LinearMap, m: BilinearOp, kind: RBKind | DerivationKind):
+    """The comparisons of the kind's identity for X on all basis pairs."""
     sigma, tau = kind.twists()
     if kind.form == "derivation":
         def lhs(i, j):      # D(ab)
@@ -583,7 +548,7 @@ def kind_law(X: LinearMap, m: BilinearOp, kind: RBKind | DerivationKind
             return X.apply(vec_add(m.apply(sigma.column(i), X.column(j)),
                                    m.apply(X.column(i), tau.column(j))))
     law = "leibniz" if kind.form == "derivation" else "rb-identity"
-    return _pair_identity(m.dim, lhs, rhs, law)
+    yield from identity(law, m.dim, 2, lhs, rhs)
 
 
 def check_derivation(D: LinearMap, m: BilinearOp, kind: DerivationKind) -> CheckVerdict:
@@ -614,32 +579,23 @@ def check_rota_baxter(R: LinearMap, m: BilinearOp, kind: RBKind) -> CheckVerdict
 
 
 def check_aybe(a: BiHomAlgebra, r: Tensor2) -> CheckVerdict:
-    """Yang-Baxter check: invariance of r under both structure maps and
-    vanishing of the residue tensor."""
+    """Yang-Baxter check: invariance of r under both structure maps, entry
+    by entry, then vanishing of the residue tensor."""
     from .constructions import aybe_residue  # local import avoids a cycle
 
     _require_square(a.alpha, a.dim, "alpha")
     _require_square(a.beta, a.dim, "beta")
     if r.dim != a.dim:
         raise ShapeError("r does not live on the algebra")
-    for law, f in (("alpha-invariance", a.alpha), ("beta-invariance", a.beta)):
-        inv = map_tensor2(f, f, r)
-        if inv != r:
-            i, j = _first_tensor2_diff(inv, r)
-            return CheckVerdict.fail(law, (i, j), (inv.coeffs[i][j],),
-                                     (r.coeffs[i][j],))
-    res = aybe_residue(a, r)
-    if not res.is_zero():
-        d = res.dim
-        for i, j, k in itertools.product(range(d), repeat=3):
-            if res.coeffs[i][j][k]:
-                return CheckVerdict.fail("yang-baxter-residue", (i, j, k),
-                                         (res.coeffs[i][j][k],), (Fraction(0),))
-    return CheckVerdict.ok()
+    zero = Fraction(0)
 
+    def laws():
+        for law, f in (("alpha-invariance", a.alpha), ("beta-invariance", a.beta)):
+            inv = map_tensor2(f, f, r).coeffs
+            yield from identity(law, a.dim, 2, lambda i, j: inv[i][j],
+                                lambda i, j: r.coeffs[i][j])
+        res = aybe_residue(a, r).coeffs
+        yield from identity("yang-baxter-residue", a.dim, 3,
+                            lambda i, j, k: res[i][j][k], lambda i, j, k: zero)
 
-def _first_tensor2_diff(s: Tensor2, t: Tensor2) -> tuple[int, int]:
-    for i, j in itertools.product(range(s.dim), repeat=2):
-        if s.coeffs[i][j] != t.coeffs[i][j]:
-            return (i, j)
-    raise AssertionError("tensors are equal")
+    return first_failure(laws())

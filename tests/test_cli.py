@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +387,20 @@ class TestCatalogueCommand:
         code, out, _ = run(capsys, "catalogue", "list")
         assert code == 0
         assert "na2" in out and "negative-control" in out
+
+    def test_list_does_not_import_numpy(self):
+        # numpy is the largest part of start-up; only a search needs it
+        script = ("import contextlib, io, sys\n"
+                  "from bihomcheck.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    assert main(['catalogue', 'list']) == 0\n"
+                  "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_export_round_trip(self, capsys, tmp_path):
         path = tmp_path / "n2.json"
