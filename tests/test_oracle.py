@@ -698,11 +698,12 @@ def test_kind_law(data, form, draw):
     # tau are algebra maps), or near a left multiplication (a Rota-Baxter
     # operator when its square vanishes)
     n = draw.draw(st.integers(0, d - 1))
-    X = draw.draw(st.sampled_from((
-        "sparse",
-        [sub(sigma[u], tau[u]) for u in range(d)],
-        [[mu[n][j][k] for j in range(d)] for k in range(d)])))
-    X = as_lists(draw.draw(operators(d))) if X == "sparse" else perturbed(draw.draw, X)
+    near = {"sigma-tau": [sub(sigma[u], tau[u]) for u in range(d)],
+            "left-multiplication": [[mu[n][j][k] for j in range(d)]
+                                    for k in range(d)]}
+    start = draw.draw(st.sampled_from(("sparse", *near)))
+    X = (as_lists(draw.draw(operators(d))) if start == "sparse"
+         else perturbed(draw.draw, near[start]))
     if form == "derivation":
         kind = TauSigmaDerivation(LinearMap(tau), LinearMap(sigma))
     elif form == "paren-rb":
