@@ -46,7 +46,6 @@ from .structures import (
     LieAlphaPowerRB,
     ParenRB,
     _commutation_verdict,
-    _require_square,
     check_bihom_associative,
     check_bihom_dendriform,
     check_classical_associative,
@@ -296,8 +295,6 @@ def aybe_residue(a: BiHomAlgebra, r: Tensor2) -> Tensor3:
 
     and the residue is t13_12 - t12_23 + t23_13.
     """
-    _require_square(a.alpha, a.dim, "alpha")
-    _require_square(a.beta, a.dim, "beta")
     if r.dim != a.dim:
         raise ShapeError("r does not live on the algebra")
     mu = a.mu

@@ -18,13 +18,18 @@ Conventions, fixed once and used by the serializer as well:
   ``identity(law, dim, arity, lhs, rhs)`` lists its comparisons
   ``(law, idx, lhs(*idx), rhs(*idx))`` for ``idx`` in ``range(dim)**arity``
   in lexicographic order.  ``first_failure`` is the one comparison loop: it
-  reads a stream of such comparisons and verdicts lazily, in order, and
-  returns the first that fails, so a checker stops at its first failing
+  reads a stream of such comparisons lazily, in order, and returns the
+  first that fails as a verdict, so a checker stops at its first failing
   tuple and reports the smallest one.
+* A checker is ``checker(laws)``: ``laws(*args)`` runs every shape check of
+  the law and returns its lazy comparison stream, ``check(*args)`` is
+  ``first_failure`` of that stream, and ``check.laws`` stays reachable, so
+  an aggregate law chains the streams of its parts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,9 +253,6 @@ class Tensor3:
     def dim(self) -> int:
         return len(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return all(not c for plane in self.coeffs for row in plane for c in row)
-
     def flatten(self) -> Vector:
         return tuple(c for plane in self.coeffs for row in plane for c in row)
 
@@ -336,17 +338,25 @@ def identity(law: str, dim: int, arity: int, lhs, rhs) -> Iterator[tuple]:
         yield law, idx, lhs(*idx), rhs(*idx)
 
 
-def first_failure(checks: Iterable) -> CheckVerdict:
-    """The first failing item of ``checks``, read lazily and in order, else
-    pass.  An item is a CheckVerdict or a comparison ``(law, indices, lhs,
-    rhs)``, which fails when ``lhs != rhs``."""
-    for c in checks:
-        if isinstance(c, CheckVerdict):
-            if not c.passed:
-                return c
-        elif c[2] != c[3]:
+def first_failure(comparisons: Iterable[tuple]) -> CheckVerdict:
+    """The first failing comparison ``(law, indices, lhs, rhs)``, one with
+    ``lhs != rhs``, read lazily and in order, as a verdict, else pass."""
+    for c in comparisons:
+        if c[2] != c[3]:
             return CheckVerdict.fail(*c)
     return CheckVerdict.ok()
+
+
+def checker(laws):
+    """The checker of a law.  ``laws(*args)`` raises any shape error of its
+    input, then returns the law's lazy stream of comparisons.
+    ``check(*args)`` is ``first_failure(laws(*args))``, and ``check.laws``
+    stays reachable."""
+    @functools.wraps(laws)
+    def check(*args, **kwargs):
+        return first_failure(laws(*args, **kwargs))
+    check.laws = laws
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +478,9 @@ def map_tensor2(f: LinearMap, g: LinearMap, t: Tensor2) -> Tensor2:
         for p, q, c in nonzero_entries(t.coeffs)]))
 
 
+@checker
 def is_algebra_map(f: LinearMap, m: BilinearOp,
-                   law: str = "multiplicative") -> CheckVerdict:
+                   law: str = "multiplicative") -> Iterator[tuple]:
     """Pass iff f(e_i . e_j) = f(e_i) . f(e_j) for all basis pairs; a failure
     is reported under ``law``."""
     if f.dim_in != f.dim_out:
@@ -477,9 +488,8 @@ def is_algebra_map(f: LinearMap, m: BilinearOp,
     if f.dim_in != m.dim:
         raise ShapeError("map and product dims differ")
     images = [f.column(j) for j in range(m.dim)]
-    return first_failure(identity(
-        law, m.dim, 2, lambda i, j: f.apply(m.basis_product(i, j)),
-        lambda i, j: m.apply(images[i], images[j])))
+    return identity(law, m.dim, 2, lambda i, j: f.apply(m.basis_product(i, j)),
+                    lambda i, j: m.apply(images[i], images[j]))
 
 
 def compose_delta(delta: Comultiplication, f: LinearMap) -> Comultiplication:
@@ -495,22 +505,22 @@ def compose_delta(delta: Comultiplication, f: LinearMap) -> Comultiplication:
         for j, k, c in nonzero_entries(delta.cube[p])]))
 
 
+@checker
 def is_coalgebra_map(f: LinearMap, delta: Comultiplication,
-                     law: str = "comultiplicative") -> CheckVerdict:
+                     law: str = "comultiplicative") -> Iterator[tuple]:
     """Pass iff (f (x) f)(Delta(e_m)) = Delta(f(e_m)) for all basis indices,
     compared as flattened coefficient grids; a failure is reported under
     ``law``."""
     after = compose_delta(delta, f)
-    return first_failure(identity(
-        law, delta.dim, 1,
-        lambda m: sum(map_tensor2(f, f, delta.image(m)).coeffs, ()),
-        lambda m: sum(after.cube[m], ())))
+    return identity(law, delta.dim, 1,
+                    lambda m: sum(map_tensor2(f, f, delta.image(m)).coeffs, ()),
+                    lambda m: sum(after.cube[m], ()))
 
 
-def bilinear_equal(m1: BilinearOp, m2: BilinearOp) -> CheckVerdict:
+@checker
+def bilinear_equal(m1: BilinearOp, m2: BilinearOp) -> Iterator[tuple]:
     """Pass iff all structure constants agree; first differing (i,j,k) else."""
     if m1.dim != m2.dim:
         raise ShapeError("bilinear ops have different dims")
-    return first_failure(identity("equal", m1.dim, 3,
-                                  lambda i, j, k: m1.cube[i][j][k],
-                                  lambda i, j, k: m2.cube[i][j][k]))
+    return identity("equal", m1.dim, 3, lambda i, j, k: m1.cube[i][j][k],
+                    lambda i, j, k: m2.cube[i][j][k])

@@ -1,19 +1,20 @@
 """Structure bundles and one checker per axiom system.
 
-Bundles do NOT enforce their laws at construction time: the search module
-must be able to hold candidates that fail them.  Validation is explicit via
-the ``check_*`` functions, each of which returns a :class:`CheckVerdict`
-whose witness is the lexicographically smallest failing tuple.
+Bundles check their shapes but NOT their laws at construction time: the
+search module must be able to hold candidates that fail them.  Every map of
+a bundle is square on its ``dim`` (that of its first field), every product
+and coproduct has that ``dim``, and a unit is frozen to a vector of that
+length; a ShapeError is raised otherwise.  Validation is explicit via the
+``check_*`` functions, each of which returns a :class:`CheckVerdict` whose
+witness is the lexicographically smallest failing tuple.
 
-Aggregate checkers run their constituent laws in a fixed order
+Each checker is made by :func:`bihomcheck.exactlin.checker` from its law, a
+lazy stream of comparisons, and stops at its first failing tuple.  An
+aggregate law chains the ``.laws`` streams of its parts in a fixed order
 (commutation of the structure maps, multiplicativity, main axiom, unit
-laws) and report the first failure.  Each returns ``first_failure`` of a
-lazy stream of its laws (see :mod:`bihomcheck.exactlin`), so it stops at
-its first failing law (``kind_law`` computes its at most two commutation
-verdicts up front).  Shape errors come first: every shape check of a
-checker runs before its first comparison, so laziness never decides
-between a ShapeError and a verdict.  The one exception is a unit of the
-wrong length, which raises when the unit laws, the last ones, are reached.
+laws).  Shape errors come first: a law runs every shape check of its input,
+and of its parts, before it returns its stream, so laziness never decides
+between a ShapeError and a verdict.
 
 Rota-Baxter operators and twisted derivations come in kinds.  Each kind
 describes itself once: ``parameters()`` lists its parameter maps, which
@@ -43,9 +44,10 @@ from .exactlin import (
     Tensor2,
     Tensor3,
     Vector,
+    _freeze_vector,
     basis_vector,
+    checker,
     compose,
-    first_failure,
     identity,
     is_algebra_map,
     is_coalgebra_map,
@@ -68,53 +70,65 @@ class InvalidParameterError(ValueError):
 # Bundles
 # ---------------------------------------------------------------------------
 
+def _require_square(f: LinearMap, dim: int, what: str) -> None:
+    if f.dim_in != f.dim_out or f.dim_in != dim:
+        raise ShapeError(f"{what} must be a {dim}x{dim} map")
+
+
+class _Bundle:
+    """Shape checks, not laws: every map is square on ``dim``, the dim of
+    the first field, every product or coproduct has ``dim``, and a unit is
+    frozen to a vector of length ``dim``."""
+
+    @property
+    def dim(self) -> int:
+        return next(iter(vars(self).values())).dim  # vars() keeps field order
+
+    def __post_init__(self):
+        d = self.dim
+        for name, value in vars(self).items():
+            if isinstance(value, LinearMap):
+                _require_square(value, d, name)
+            elif isinstance(value, (BilinearOp, Comultiplication)) \
+                    and value.dim != d:
+                raise ShapeError(f"{name} has dim {value.dim}, not {d}")
+        if getattr(self, "unit", None) is not None:
+            object.__setattr__(self, "unit", _freeze_vector(self.unit))
+            if len(self.unit) != d:
+                raise ShapeError(f"unit has dim {len(self.unit)}, not {d}")
+
+
 @dataclass(frozen=True)
-class BiHomAlgebra:
+class BiHomAlgebra(_Bundle):
     mu: BilinearOp
     alpha: LinearMap
     beta: LinearMap
     unit: Vector | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.mu.dim
 
     def is_hom(self) -> bool:
         return self.alpha == self.beta
 
 
 @dataclass(frozen=True)
-class HomAlgebra:
+class HomAlgebra(_Bundle):
     mu: BilinearOp
     alpha: LinearMap
-
-    @property
-    def dim(self) -> int:
-        return self.mu.dim
 
     def as_bihom(self, unit: Vector | None = None) -> BiHomAlgebra:
         return BiHomAlgebra(self.mu, self.alpha, self.alpha, unit)
 
 
 @dataclass(frozen=True)
-class HomCoalgebra:
+class HomCoalgebra(_Bundle):
     delta: Comultiplication
     alpha: LinearMap
-
-    @property
-    def dim(self) -> int:
-        return self.delta.dim
 
 
 @dataclass(frozen=True)
-class InfHomBialgebra:
+class InfHomBialgebra(_Bundle):
     mu: BilinearOp
     delta: Comultiplication
     alpha: LinearMap
-
-    @property
-    def dim(self) -> int:
-        return self.mu.dim
 
     def algebra(self) -> HomAlgebra:
         return HomAlgebra(self.mu, self.alpha)
@@ -124,35 +138,23 @@ class InfHomBialgebra:
 
 
 @dataclass(frozen=True)
-class BiHomDendriform:
+class BiHomDendriform(_Bundle):
     prec: BilinearOp
     succ: BilinearOp
     alpha: LinearMap
     beta: LinearMap
 
-    @property
-    def dim(self) -> int:
-        return self.prec.dim
-
 
 @dataclass(frozen=True)
-class HomPreLie:
+class HomPreLie(_Bundle):
     mu: BilinearOp
     alpha: LinearMap
 
-    @property
-    def dim(self) -> int:
-        return self.mu.dim
-
 
 @dataclass(frozen=True)
-class HomLie:
+class HomLie(_Bundle):
     bracket: BilinearOp
     alpha: LinearMap
-
-    @property
-    def dim(self) -> int:
-        return self.bracket.dim
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +269,19 @@ RBKind = ParenRB | BraceRB | AlphaPowerRB | AlphaBetaRB | LieAlphaPowerRB
 # Law primitives
 # ---------------------------------------------------------------------------
 
-def _require_square(f: LinearMap, dim: int, what: str) -> None:
-    if f.dim_in != f.dim_out or f.dim_in != dim:
-        raise ShapeError(f"{what} must be a {dim}x{dim} map")
-
-
-def _commutation_verdict(f: LinearMap, g: LinearMap, law: str) -> CheckVerdict:
+@checker
+def _commutation_verdict(f: LinearMap, g: LinearMap, law: str):
     """Pass iff f g = g f, witnessing the first differing basis image."""
     fg, gf = compose(f, g), compose(g, f)
-    return first_failure(identity(law, fg.dim_in, 1, fg.column, gf.column))
+    return identity(law, fg.dim_in, 1, fg.column, gf.column)
 
 
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
 
-def check_bihom_associative(a: BiHomAlgebra) -> CheckVerdict:
+@checker
+def check_bihom_associative(a: BiHomAlgebra):
     """Full validation of a BiHom-associative algebra.
 
     Order: structure maps commute, alpha/beta multiplicative, the twisted
@@ -291,31 +290,25 @@ def check_bihom_associative(a: BiHomAlgebra) -> CheckVerdict:
     and 1 e_i = beta(e_i) (left unit) for each i in turn.  The Hom case is
     alpha = beta; the classical case is both equal to the identity.
     """
-    mu, al, be, one = a.mu, a.alpha, a.beta, a.unit
-    _require_square(al, mu.dim, "alpha")
-    _require_square(be, mu.dim, "beta")
-    d = mu.dim
-
-    def laws():
-        yield _commutation_verdict(al, be, "structure-maps-commute")
-        yield is_algebra_map(al, mu, "alpha-multiplicative")
-        yield is_algebra_map(be, mu, "beta-multiplicative")
-        yield from identity(
-            "bihom-associativity", d, 3,
-            lambda i, j, k: mu.apply(al.column(i), mu.basis_product(j, k)),
-            lambda i, j, k: mu.apply(mu.basis_product(i, j), be.column(k)))
-        if one is None:
-            return
+    mu, al, be, one, d = a.mu, a.alpha, a.beta, a.unit, a.dim
+    laws = [
+        _commutation_verdict.laws(al, be, "structure-maps-commute"),
+        is_algebra_map.laws(al, mu, "alpha-multiplicative"),
+        is_algebra_map.laws(be, mu, "beta-multiplicative"),
+        identity("bihom-associativity", d, 3,
+                 lambda i, j, k: mu.apply(al.column(i), mu.basis_product(j, k)),
+                 lambda i, j, k: mu.apply(mu.basis_product(i, j), be.column(k)))]
+    if one is not None:
         basis = [basis_vector(d, i) for i in range(d)]
-        yield "unit-alpha-fixed", (), al.apply(one), one
-        yield "unit-beta-fixed", (), be.apply(one), one
-        yield from itertools.chain.from_iterable(zip(
-            identity("right-unit", d, 1, lambda i: mu.apply(basis[i], one),
-                     al.column),
-            identity("left-unit", d, 1, lambda i: mu.apply(one, basis[i]),
-                     be.column)))
-
-    return first_failure(laws())
+        laws += [
+            identity("unit-alpha-fixed", d, 0, lambda: al.apply(one), lambda: one),
+            identity("unit-beta-fixed", d, 0, lambda: be.apply(one), lambda: one),
+            itertools.chain.from_iterable(zip(
+                identity("right-unit", d, 1, lambda i: mu.apply(basis[i], one),
+                         al.column),
+                identity("left-unit", d, 1, lambda i: mu.apply(one, basis[i]),
+                         be.column)))]
+    return itertools.chain(*laws)
 
 
 def check_hom_associative(h: HomAlgebra) -> CheckVerdict:
@@ -331,12 +324,11 @@ def is_commutative(mu: BilinearOp) -> bool:
     return mu == mu.opposite()
 
 
-def check_hom_coassociative(c: HomCoalgebra) -> CheckVerdict:
+@checker
+def check_hom_coassociative(c: HomCoalgebra):
     """(alpha (x) alpha) o Delta = Delta o alpha, then Hom-coassociativity
     (Delta (x) alpha) o Delta = (alpha (x) Delta) o Delta."""
-    delta, al = c.delta, c.alpha
-    _require_square(al, delta.dim, "alpha")
-    d = delta.dim
+    delta, al, d = c.delta, c.alpha, c.dim
     al_cols = list(zip(*al.entries))
     basis = [basis_vector(d, j) for j in range(d)]
     images = [nonzero_entries(image) for image in delta.cube]
@@ -353,20 +345,16 @@ def check_hom_coassociative(c: HomCoalgebra) -> CheckVerdict:
             (cpq * ckt, al_cols[p], basis[k], basis[t])
             for p, q, cpq in images[m] for k, t, ckt in images[q]])).flatten()
 
-    return first_failure(itertools.chain(
-        [is_coalgebra_map(al, delta)],
-        identity("hom-coassociativity", d, 1, left, right)))
+    return itertools.chain(is_coalgebra_map.laws(al, delta),
+                           identity("hom-coassociativity", d, 1, left, right))
 
 
-def check_infinitesimal_compat(b: InfHomBialgebra) -> CheckVerdict:
+@checker
+def check_infinitesimal_compat(b: InfHomBialgebra):
     """Delta(ab) = alpha(a) b_1 (x) alpha(b_2) + alpha(a_1) (x) a_2 alpha(b)
     on all basis pairs; the classical case alpha = id says Delta is a
     derivation into the bimodule A (x) A."""
-    mu, delta, al = b.mu, b.delta, b.alpha
-    _require_square(al, mu.dim, "alpha")
-    if delta.dim != mu.dim:
-        raise ShapeError("product and coproduct dims differ")
-    d = mu.dim
+    mu, delta, al, d = b.mu, b.delta, b.alpha, b.dim
     al_cols = list(zip(*al.entries))
     basis = [basis_vector(d, j) for j in range(d)]
     images = [nonzero_entries(image) for image in delta.cube]
@@ -387,29 +375,23 @@ def check_infinitesimal_compat(b: InfHomBialgebra) -> CheckVerdict:
             *((c, al_cols[p], mu.apply(basis[q], al_cols[j]))
               for p, q, c in images[i])]), [])
 
-    return first_failure(identity("coproduct-derivation", d, 2, lhs, rhs))
+    return identity("coproduct-derivation", d, 2, lhs, rhs)
 
 
-def check_inf_hom_bialgebra(b: InfHomBialgebra) -> CheckVerdict:
+@checker
+def check_inf_hom_bialgebra(b: InfHomBialgebra):
     """Hom-algebra laws, then Hom-coalgebra laws, then compatibility."""
-    _require_square(b.alpha, b.mu.dim, "alpha")
-    _require_square(b.alpha, b.delta.dim, "alpha")
-    return first_failure(check(part) for check, part in (
-        (check_hom_associative, b.algebra()),
-        (check_hom_coassociative, b.coalgebra()),
-        (check_infinitesimal_compat, b)))
+    return itertools.chain(check_bihom_associative.laws(b.algebra().as_bihom()),
+                           check_hom_coassociative.laws(b.coalgebra()),
+                           check_infinitesimal_compat.laws(b))
 
 
-def check_bihom_dendriform(d: BiHomDendriform) -> CheckVerdict:
+@checker
+def check_bihom_dendriform(d: BiHomDendriform):
     """Commutation and multiplicativity of both structure maps w.r.t. both
     operations, then the three splitting axioms in the fixed order left /
     middle / right."""
-    prec, succ, al, be = d.prec, d.succ, d.alpha, d.beta
-    if prec.dim != succ.dim:
-        raise ShapeError("prec and succ dims differ")
-    _require_square(al, prec.dim, "alpha")
-    _require_square(be, prec.dim, "beta")
-    n = prec.dim
+    prec, succ, al, be, n = d.prec, d.succ, d.alpha, d.beta, d.dim
 
     def dend_left_lhs(i, j, k):
         return prec.apply(prec.basis_product(i, j), be.column(k))
@@ -431,51 +413,48 @@ def check_bihom_dendriform(d: BiHomDendriform) -> CheckVerdict:
         outer = vec_add(prec.basis_product(i, j), succ.basis_product(i, j))
         return succ.apply(outer, be.column(k))
 
-    def laws():
-        yield _commutation_verdict(al, be, "structure-maps-commute")
-        yield is_algebra_map(al, prec, "alpha-prec-multiplicative")
-        yield is_algebra_map(al, succ, "alpha-succ-multiplicative")
-        yield is_algebra_map(be, prec, "beta-prec-multiplicative")
-        yield is_algebra_map(be, succ, "beta-succ-multiplicative")
-        yield from identity("dend-left", n, 3, dend_left_lhs, dend_left_rhs)
-        yield from identity("dend-middle", n, 3, dend_middle_lhs,
-                            dend_middle_rhs)
-        yield from identity("dend-right", n, 3, dend_right_lhs, dend_right_rhs)
-
-    return first_failure(laws())
+    return itertools.chain(
+        _commutation_verdict.laws(al, be, "structure-maps-commute"),
+        is_algebra_map.laws(al, prec, "alpha-prec-multiplicative"),
+        is_algebra_map.laws(al, succ, "alpha-succ-multiplicative"),
+        is_algebra_map.laws(be, prec, "beta-prec-multiplicative"),
+        is_algebra_map.laws(be, succ, "beta-succ-multiplicative"),
+        identity("dend-left", n, 3, dend_left_lhs, dend_left_rhs),
+        identity("dend-middle", n, 3, dend_middle_lhs, dend_middle_rhs),
+        identity("dend-right", n, 3, dend_right_lhs, dend_right_rhs))
 
 
-def check_hom_prelie(p: HomPreLie) -> CheckVerdict:
+@checker
+def check_hom_prelie(p: HomPreLie):
     """alpha multiplicative and the associator
     alpha(x)(yz) - (xy)alpha(z) symmetric in x, y."""
     mu, al = p.mu, p.alpha
-    _require_square(al, mu.dim, "alpha")
 
     def associator(i, j, k):
         return vec_sub(mu.apply(al.column(i), mu.basis_product(j, k)),
                        mu.apply(mu.basis_product(i, j), al.column(k)))
 
-    return first_failure(itertools.chain(
-        [is_algebra_map(al, mu, "alpha-multiplicative")],
+    return itertools.chain(
+        is_algebra_map.laws(al, mu, "alpha-multiplicative"),
         identity("prelie-associator-symmetry", mu.dim, 3, associator,
-                 lambda i, j, k: associator(j, i, k))))
+                 lambda i, j, k: associator(j, i, k)))
 
 
-def check_hom_novikov(p: HomPreLie) -> CheckVerdict:
+@checker
+def check_hom_novikov(p: HomPreLie):
     """Hom-pre-Lie laws plus right commutativity (xy)alpha(z) = (xz)alpha(y)."""
     mu, al = p.mu, p.alpha
-    return first_failure(itertools.chain(
-        [check_hom_prelie(p)],
+    return itertools.chain(
+        check_hom_prelie.laws(p),
         identity("right-commutativity", mu.dim, 3,
                  lambda i, j, k: mu.apply(mu.basis_product(i, j), al.column(k)),
-                 lambda i, j, k: mu.apply(mu.basis_product(i, k), al.column(j)))))
+                 lambda i, j, k: mu.apply(mu.basis_product(i, k), al.column(j))))
 
 
-def check_hom_lie(l: HomLie) -> CheckVerdict:
+@checker
+def check_hom_lie(l: HomLie):
     """Skew-symmetry, bracket-multiplicativity of alpha, Hom-Jacobi."""
-    br, al = l.bracket, l.alpha
-    _require_square(al, br.dim, "alpha")
-    d = br.dim
+    br, al, d = l.bracket, l.alpha, l.dim
 
     def jacobi_lhs(i, j, k):
         t1 = br.apply(al.column(i), br.basis_product(j, k))
@@ -484,14 +463,11 @@ def check_hom_lie(l: HomLie) -> CheckVerdict:
         return vec_add(vec_add(t1, t2), t3)
 
     zero = (Fraction(0),) * d
-
-    def laws():
-        yield from identity("skew-symmetry", d, 2, br.basis_product,
-                            lambda i, j: tuple(-x for x in br.basis_product(j, i)))
-        yield is_algebra_map(al, br, "alpha-bracket-multiplicative")
-        yield from identity("hom-jacobi", d, 3, jacobi_lhs, lambda i, j, k: zero)
-
-    return first_failure(laws())
+    return itertools.chain(
+        identity("skew-symmetry", d, 2, br.basis_product,
+                 lambda i, j: tuple(-x for x in br.basis_product(j, i))),
+        is_algebra_map.laws(al, br, "alpha-bracket-multiplicative"),
+        identity("hom-jacobi", d, 3, jacobi_lhs, lambda i, j, k: zero))
 
 
 def _require_parameters(m: BilinearOp, kind: RBKind | DerivationKind) -> None:
@@ -508,50 +484,48 @@ def _require_parameters(m: BilinearOp, kind: RBKind | DerivationKind) -> None:
             raise InvalidParameterError(f"{name} and {other} do not commute")
 
 
-def kind_law(X: LinearMap, m: BilinearOp, kind: RBKind | DerivationKind
-             ) -> CheckVerdict:
+@checker
+def kind_law(X: LinearMap, m: BilinearOp, kind: RBKind | DerivationKind):
     """The law part of check_rota_baxter and check_derivation: X commutes
     with the kind's commutation maps, then the kind's identity holds on all
     basis pairs.  Its parameters are not checked."""
     _require_square(X, m.dim, "D" if kind.form == "derivation" else "R")
-    # computed eagerly: a commutation map of the wrong shape raises even
-    # when X fails an earlier commutation
-    commutes = [_commutation_verdict(X, f, f"commutes-with-{name}")
+    commutes = [_commutation_verdict.laws(X, f, f"commutes-with-{name}")
                 for name, f in kind.commutes()]
-    return first_failure(itertools.chain(commutes, _kind_identity(X, m, kind)))
+
+    def kind_identity():    # the twists are computed once X commutes
+        sigma, tau = kind.twists()
+        if kind.form == "derivation":
+            def lhs(i, j):      # D(ab)
+                return X.apply(m.basis_product(i, j))
+
+            def rhs(i, j):      # D(a) tau(b) + sigma(a) D(b)
+                return vec_add(m.apply(X.column(i), tau.column(j)),
+                               m.apply(sigma.column(i), X.column(j)))
+        elif kind.form == "paren-rb":
+            basis = [basis_vector(m.dim, t) for t in range(m.dim)]
+
+            def lhs(i, j):      # R(a) R(b)
+                return m.apply(X.column(i), X.column(j))
+
+            def rhs(i, j):      # R( sigma(R(a)) b + a tau(R(b)) )
+                return X.apply(vec_add(m.apply(sigma.apply(X.column(i)), basis[j]),
+                                       m.apply(basis[i], tau.apply(X.column(j)))))
+        else:
+            def lhs(i, j):      # R(sigma(a)) R(tau(b))
+                return m.apply(X.apply(sigma.column(i)), X.apply(tau.column(j)))
+
+            def rhs(i, j):      # R( sigma(a) R(b) + R(a) tau(b) )
+                return X.apply(vec_add(m.apply(sigma.column(i), X.column(j)),
+                                       m.apply(X.column(i), tau.column(j))))
+        law = "leibniz" if kind.form == "derivation" else "rb-identity"
+        yield from identity(law, m.dim, 2, lhs, rhs)
+
+    return itertools.chain(*commutes, kind_identity())
 
 
-def _kind_identity(X: LinearMap, m: BilinearOp, kind: RBKind | DerivationKind):
-    """The comparisons of the kind's identity for X on all basis pairs."""
-    sigma, tau = kind.twists()
-    if kind.form == "derivation":
-        def lhs(i, j):      # D(ab)
-            return X.apply(m.basis_product(i, j))
-
-        def rhs(i, j):      # D(a) tau(b) + sigma(a) D(b)
-            return vec_add(m.apply(X.column(i), tau.column(j)),
-                           m.apply(sigma.column(i), X.column(j)))
-    elif kind.form == "paren-rb":
-        basis = [basis_vector(m.dim, t) for t in range(m.dim)]
-
-        def lhs(i, j):      # R(a) R(b)
-            return m.apply(X.column(i), X.column(j))
-
-        def rhs(i, j):      # R( sigma(R(a)) b + a tau(R(b)) )
-            return X.apply(vec_add(m.apply(sigma.apply(X.column(i)), basis[j]),
-                                   m.apply(basis[i], tau.apply(X.column(j)))))
-    else:
-        def lhs(i, j):      # R(sigma(a)) R(tau(b))
-            return m.apply(X.apply(sigma.column(i)), X.apply(tau.column(j)))
-
-        def rhs(i, j):      # R( sigma(a) R(b) + R(a) tau(b) )
-            return X.apply(vec_add(m.apply(sigma.column(i), X.column(j)),
-                                   m.apply(X.column(i), tau.column(j))))
-    law = "leibniz" if kind.form == "derivation" else "rb-identity"
-    yield from identity(law, m.dim, 2, lhs, rhs)
-
-
-def check_derivation(D: LinearMap, m: BilinearOp, kind: DerivationKind) -> CheckVerdict:
+@checker
+def check_derivation(D: LinearMap, m: BilinearOp, kind: DerivationKind):
     """Twisted Leibniz rule of the given kind on all basis pairs.
 
     Parameter maps are required to be algebra maps; a bad parameter raises
@@ -561,10 +535,11 @@ def check_derivation(D: LinearMap, m: BilinearOp, kind: DerivationKind) -> Check
     if not isinstance(kind, DerivationKind):
         raise TypeError(f"unknown derivation kind: {kind!r}")
     _require_parameters(m, kind)
-    return kind_law(D, m, kind)
+    return kind_law.laws(D, m, kind)
 
 
-def check_rota_baxter(R: LinearMap, m: BilinearOp, kind: RBKind) -> CheckVerdict:
+@checker
+def check_rota_baxter(R: LinearMap, m: BilinearOp, kind: RBKind):
     """Weight-zero Rota-Baxter identity of the given kind on all basis pairs.
 
     Commutation requirements carried by the kind (the candidate R against
@@ -575,16 +550,15 @@ def check_rota_baxter(R: LinearMap, m: BilinearOp, kind: RBKind) -> CheckVerdict
     if not isinstance(kind, RBKind):
         raise TypeError(f"unknown Rota-Baxter kind: {kind!r}")
     _require_parameters(m, kind)
-    return kind_law(R, m, kind)
+    return kind_law.laws(R, m, kind)
 
 
-def check_aybe(a: BiHomAlgebra, r: Tensor2) -> CheckVerdict:
+@checker
+def check_aybe(a: BiHomAlgebra, r: Tensor2):
     """Yang-Baxter check: invariance of r under both structure maps, entry
     by entry, then vanishing of the residue tensor."""
     from .constructions import aybe_residue  # local import avoids a cycle
 
-    _require_square(a.alpha, a.dim, "alpha")
-    _require_square(a.beta, a.dim, "beta")
     if r.dim != a.dim:
         raise ShapeError("r does not live on the algebra")
     zero = Fraction(0)
@@ -598,4 +572,4 @@ def check_aybe(a: BiHomAlgebra, r: Tensor2) -> CheckVerdict:
         yield from identity("yang-baxter-residue", a.dim, 3,
                             lambda i, j, k: res[i][j][k], lambda i, j, k: zero)
 
-    return first_failure(laws())
+    return laws()

@@ -436,9 +436,9 @@ def run_t12(h: HomAlgebra, r: Tensor2, desc: str = "") -> TheoremReport:
     # quasitriangularity postulates this; it is validated per instance and
     # reported as a hypothesis when it fails rather than assumed; its
     # Hom-algebra part is hom-associative, which passed
-    p.hypothesis("principal-comultiplication-bialgebra", first_failure([
-        check_hom_coassociative(b.coalgebra()),
-        check_infinitesimal_compat(b)]))
+    p.hypothesis("principal-comultiplication-bialgebra", first_failure(
+        itertools.chain(check_hom_coassociative.laws(b.coalgebra()),
+                        check_infinitesimal_compat.laws(b))))
     if not p.hypotheses_ok:
         return p.report()
     bullet = infprelie_bullet.build(b)

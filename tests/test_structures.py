@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from bihomcheck.constructions import aybe_residue
+from bihomcheck.discovery import catalogue_entry
 from bihomcheck.exactlin import (
     BilinearOp,
     Comultiplication,
     LinearMap,
     ShapeError,
     Tensor2,
+    bilinear_equal,
+    first_failure,
+    is_algebra_map,
+    is_coalgebra_map,
     vec_add,
 )
 from bihomcheck.structures import (
@@ -417,11 +421,11 @@ class TestShapeErrorOrder:
     anywhere in their input is raised before any law is compared."""
 
     def test_bialgebra_alpha_checked_against_coproduct(self, na2):
-        # na2 fails associativity at (0, 0, 0); alpha does not fit Delta
-        b = InfHomBialgebra(na2.mu, Comultiplication.zero(3),
+        # na2 fails associativity at (0, 0, 0), but Delta does not fit mu,
+        # so the bundle itself is refused before any law can be checked
+        with pytest.raises(ShapeError, match=r"^delta has dim 3, not 2$"):
+            InfHomBialgebra(na2.mu, Comultiplication.zero(3),
                             LinearMap.identity(2))
-        with pytest.raises(ShapeError, match=r"^alpha must be a 3x3 map$"):
-            check_inf_hom_bialgebra(b)
 
     @pytest.mark.parametrize("alpha", ["id4", "conj_d"])
     @pytest.mark.parametrize("X", [LinearMap.zero(4, 4), LinearMap.identity(4),
@@ -433,6 +437,57 @@ class TestShapeErrorOrder:
         kind = AlphaBetaRB(request.getfixturevalue(alpha), LinearMap.zero(4, 5))
         with pytest.raises(ShapeError, match=r"^cannot compose: 5 != 4$"):
             kind_law(X, m2.mu, kind)
+
+
+class TestBundleShapes:
+    """Bundles check their shapes, not their laws, when they are built."""
+
+    def test_list_unit_is_frozen(self, m2, id4):
+        a = BiHomAlgebra(m2.mu, id4, id4, [1, 0, 0, 1])
+        assert a == BiHomAlgebra(m2.mu, id4, id4, (1, 0, 0, 1))
+        assert check_bihom_associative(a).passed
+
+    @pytest.mark.parametrize("name", ["m2", "na2"])
+    def test_wrong_length_unit_is_shape_error(self, request, name):
+        # na2 fails associativity: the length is checked before any law
+        a = request.getfixturevalue(name)
+        with pytest.raises(ShapeError, match=rf"^unit has dim 3, not {a.dim}$"):
+            BiHomAlgebra(a.mu, a.alpha, a.beta, (1, 0, 0))
+
+
+def _law_inputs(name):
+    """(checker, misshaped input, input) of a law whose arguments are not
+    all held by one bundle, so only the law can check their shapes."""
+    def get(entry_id):
+        return catalogue_entry(entry_id).structure
+    m2, dx2, conj_d = get("m2"), get("dx2"), get("conj_d")
+    id3, id4 = LinearMap.identity(3), LinearMap.identity(4)
+    e12_to_e11 = LinearMap.from_columns([[0] * 4, [1, 0, 0, 0], [0] * 4, [0] * 4])
+    return {
+        "kind_law": (kind_law,
+                     (id4, m2.mu, AlphaBetaRB(id4, LinearMap.zero(4, 5))),
+                     (e12_to_e11, m2.mu, AlphaBetaRB(conj_d, id4))),
+        "is_algebra_map": (is_algebra_map, (id3, m2.mu), (conj_d, m2.mu)),
+        "is_coalgebra_map": (is_coalgebra_map,
+                             (id3, get("dx2-infbialg").delta),
+                             (get("neg_x"), get("dx2-infbialg").delta)),
+        "bilinear_equal": (bilinear_equal, (m2.mu, dx2.mu),
+                           (get("n2").mu, get("na2").mu)),
+        "check_aybe": (check_aybe, (m2, Tensor2.zero(2)),
+                       (dx2, Tensor2.from_pairs(2, {(0, 0): 1}))),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["kind_law", "is_algebra_map",
+                                  "is_coalgebra_map", "bilinear_equal",
+                                  "check_aybe"])
+def test_laws_check_shapes_when_called(name):
+    """``.laws`` raises a shape error before its stream is read, and the
+    checker is ``first_failure`` of that stream."""
+    check, bad, good = _law_inputs(name)
+    with pytest.raises(ShapeError):
+        check.laws(*bad)
+    assert first_failure(check.laws(*good)) == check(*good)
 
 
 class TestAybe:
@@ -454,13 +509,11 @@ class TestAybe:
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     @pytest.mark.parametrize("rows", [[[1, 0], [0, 1], [0, 0]], [[1, 0]]])
     def test_non_square_map_is_shape_error(self, dx2, id2, which, rows):
-        # a 3x2 map used to raise IndexError and a 1x2 map AssertionError
+        # check_aybe and aybe_residue index alpha and beta as 2x2 maps, so
+        # the bundle refuses a 3x2 or 1x2 map before either can see it
         maps = {"alpha": id2, "beta": id2, which: LinearMap(rows)}
-        a = BiHomAlgebra(dx2.mu, maps["alpha"], maps["beta"])
-        r = Tensor2.from_pairs(2, {(0, 0): 1, (1, 1): 1})
-        for f in (check_aybe, aybe_residue):
-            with pytest.raises(ShapeError, match=f"{which} must be a 2x2"):
-                f(a, r)
+        with pytest.raises(ShapeError, match=f"^{which} must be a 2x2 map$"):
+            BiHomAlgebra(dx2.mu, maps["alpha"], maps["beta"])
 
     def test_invariance_failure(self, dx2, neg_x):
         twisted = BiHomAlgebra(dx2.mu, neg_x, neg_x)
