@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constructions import (
     InternalInconsistencyError,
@@ -35,6 +34,7 @@ from .exactlin import (
     BilinearOp,
     Comultiplication,
     LinearMap,
+    Scalar,
     Tensor2,
     compose_delta,
     frac,
@@ -62,7 +62,7 @@ class SearchSpaceTooLargeError(ValueError):
     """Candidate count exceeds the configured budget."""
 
 
-DEFAULT_COEFFS = (Fraction(-1), Fraction(0), Fraction(1))
+DEFAULT_COEFFS = (-1, 0, 1)
 DEFAULT_BUDGET = 10 ** 8
 MAX_DIM = 4
 
@@ -154,7 +154,7 @@ SearchTarget = AybeTarget | RBTarget | DerivationTarget | AlgebraMapPairTarget
 @dataclass(frozen=True)
 class SearchSpec:
     target: SearchTarget
-    coefficients: tuple[Fraction, ...] = DEFAULT_COEFFS
+    coefficients: tuple[Scalar, ...] = DEFAULT_COEFFS
     dim_cap: int = MAX_DIM
     support: tuple[tuple[int, int], ...] | None = None
     budget: int = DEFAULT_BUDGET
@@ -235,7 +235,7 @@ def search(spec: SearchSpec, ambient, backend: str | None = None) -> list:
     cells = [(m, i, j) for m in range(target.matrices) for i, j in slots]
     results = []
     for digits in candidates:
-        grids = [[[Fraction(0)] * dim for _ in range(dim)]
+        grids = [[[0] * dim for _ in range(dim)]
                  for _ in range(target.matrices)]
         for (m, i, j), d in zip(cells, digits):
             grids[m][i][j] = coefficients[d]
@@ -301,9 +301,9 @@ def _build_catalogue() -> list[CatalogueEntry]:
 
     n2 = BiHomAlgebra(_n2_product(), id2, id2)
     na2 = BiHomAlgebra(_na2_product(), id2, id2)
-    dx2 = BiHomAlgebra(_dx2_product(), id2, id2, unit=(Fraction(1), Fraction(0)))
+    dx2 = BiHomAlgebra(_dx2_product(), id2, id2, unit=(1, 0))
     m2 = BiHomAlgebra(_m2_product(), id4, id4,
-                      unit=(Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
+                      unit=(1, 0, 0, 1))
 
     dx2_delta = Comultiplication.from_images(2, {1: {(1, 1): 1}})
     dx2_inf = InfHomBialgebra(dx2.mu, dx2_delta, id2)

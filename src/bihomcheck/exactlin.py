@@ -1,10 +1,13 @@
 """Exact rational linear and multilinear algebra over a fixed ordered basis.
 
 Everything downstream (axiom checkers, constructions, searches) is evaluated
-on top of the values defined here.  All scalars are arbitrary-precision
-rationals (``fractions.Fraction``), so every computation is exact and
-deterministic: repeating a computation yields bit-identical results, and a
-failing identity always comes with a certifiable counterexample.
+on top of the values defined here.  All scalars are exact rationals: an
+integral value is a Python ``int`` and any other a ``fractions.Fraction``,
+never a ``float``.  Equal ``int`` and ``Fraction`` values compare and hash
+alike, so every computation is exact and deterministic: repeating a
+computation yields bit-identical results, and a failing identity always
+comes with a certifiable counterexample.  Integers keep the common case
+cheap, since an ``int`` operation needs no gcd.
 
 Conventions, fixed once and used by the serializer as well:
 
@@ -31,13 +34,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 
-Scalar = Fraction
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 
 
 class ShapeError(ValueError):
@@ -48,13 +52,16 @@ class NotInvertibleError(ValueError):
     """Square matrix is singular.  A legitimate outcome, not a bug."""
 
 
-def frac(x) -> Fraction:
-    """Coerce ints / strings / Fractions to an exact rational."""
-    if isinstance(x, Fraction):
+def frac(x) -> Scalar:
+    """Coerce ints / strings / Fractions to an exact scalar: an ``int`` when
+    the value is integral, else a ``Fraction``.  Floats are refused."""
+    if type(x) is int:
         return x
     if isinstance(x, float):
         raise TypeError("floating-point scalars are not allowed; use Fraction")
-    return Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return int(x) if x.denominator == 1 else x
 
 
 def _freeze_vector(v: Sequence) -> Vector:
@@ -78,7 +85,7 @@ def _freeze_cube(cube: Sequence) -> tuple[tuple[Vector, ...], ...]:
 
 
 def zero_vector(dim: int) -> Vector:
-    return (Fraction(0),) * dim
+    return (0,) * dim
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -99,7 +106,7 @@ def vec_scale(c, v: Vector) -> Vector:
 
 
 def basis_vector(dim: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+    return tuple(1 if j == i else 0 for j in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +115,7 @@ def basis_vector(dim: int, i: int) -> Vector:
 
 @dataclass(frozen=True)
 class LinearMap:
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[Vector, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _freeze_matrix(self.entries))
@@ -135,7 +142,7 @@ class LinearMap:
     def diagonal(diag: Sequence) -> LinearMap:
         d = _freeze_vector(diag)
         return LinearMap(tuple(
-            tuple(d[i] if i == j else Fraction(0) for j in range(len(d)))
+            tuple(d[i] if i == j else 0 for j in range(len(d)))
             for i in range(len(d))))
 
     @staticmethod
@@ -150,8 +157,7 @@ class LinearMap:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.dim_in:
             raise ShapeError(f"map expects dim {self.dim_in}, got {len(v)}")
-        return tuple(sum((row[j] * v[j] for j in range(self.dim_in)),
-                         Fraction(0)) for row in self.entries)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.entries)
 
     def is_identity(self) -> bool:
         return self.dim_in == self.dim_out and self == LinearMap.identity(self.dim_in)
@@ -159,7 +165,7 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class BilinearOp:
-    cube: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    cube: tuple[tuple[Vector, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "cube", _freeze_cube(self.cube))
@@ -192,7 +198,7 @@ class BilinearOp:
         d = self.dim
         if len(u) != d or len(v) != d:
             raise ShapeError(f"operands must have dim {d}")
-        out = [Fraction(0)] * d
+        out = [0] * d
         for i in range(d):
             if not u[i]:
                 continue
@@ -215,7 +221,7 @@ class BilinearOp:
 
 @dataclass(frozen=True)
 class Tensor2:
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    coeffs: tuple[Vector, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _freeze_matrix(self.coeffs))
@@ -233,7 +239,7 @@ class Tensor2:
 
     @staticmethod
     def from_pairs(dim: int, pairs: dict[tuple[int, int], object]) -> Tensor2:
-        grid = [[Fraction(0)] * dim for _ in range(dim)]
+        grid = [[0] * dim for _ in range(dim)]
         for (i, j), c in pairs.items():
             grid[i][j] = frac(c)
         return Tensor2(grid)
@@ -244,7 +250,7 @@ class Tensor2:
 
 @dataclass(frozen=True)
 class Tensor3:
-    coeffs: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    coeffs: tuple[tuple[Vector, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _freeze_cube(self.coeffs))
@@ -259,7 +265,7 @@ class Tensor3:
 
 @dataclass(frozen=True)
 class Comultiplication:
-    cube: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    cube: tuple[tuple[Vector, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "cube", _freeze_cube(self.cube))
@@ -279,7 +285,7 @@ class Comultiplication:
     @staticmethod
     def from_images(dim: int, images: dict[int, dict[tuple[int, int], object]]) -> Comultiplication:
         """Build from the nonzero splittings delta(e_i) = sum c e_j (x) e_k."""
-        cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        cube = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for i, terms in images.items():
             for (j, k), c in terms.items():
                 cube[i][j][k] = frac(c)
@@ -301,8 +307,8 @@ class Witness:
     values (a 1-tuple when the values are scalars).
     """
     indices: tuple[int, ...]
-    lhs: tuple[Fraction, ...]
-    rhs: tuple[Fraction, ...]
+    lhs: Vector
+    rhs: Vector
 
 
 @dataclass(frozen=True)
@@ -326,8 +332,8 @@ class CheckVerdict:
 
     @staticmethod
     def fail(law: str, indices: Iterable[int], lhs, rhs) -> CheckVerdict:
-        lhs = (lhs,) if isinstance(lhs, Fraction) else tuple(lhs)
-        rhs = (rhs,) if isinstance(rhs, Fraction) else tuple(rhs)
+        lhs = (lhs,) if isinstance(lhs, (int, Fraction)) else tuple(lhs)
+        rhs = (rhs,) if isinstance(rhs, (int, Fraction)) else tuple(rhs)
         return CheckVerdict(False, law, Witness(tuple(indices), lhs, rhs))
 
 
@@ -367,14 +373,9 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Exact matrix product f o g (apply g first)."""
     if f.dim_in != g.dim_out:
         raise ShapeError(f"cannot compose: {f.dim_in} != {g.dim_out}")
-    rows = []
-    for i in range(f.dim_out):
-        row = []
-        for j in range(g.dim_in):
-            row.append(sum((f.entries[i][k] * g.entries[k][j]
-                            for k in range(f.dim_in)), Fraction(0)))
-        rows.append(tuple(row))
-    return LinearMap(tuple(rows))
+    cols = list(zip(*g.entries))
+    return LinearMap(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                           for row in f.entries))
 
 
 def power(f: LinearMap, n: int) -> LinearMap:
@@ -398,14 +399,13 @@ def invert(f: LinearMap) -> LinearMap:
     if f.dim_in != f.dim_out:
         raise ShapeError("only square maps can be inverted")
     n = f.dim_in
-    aug = [list(f.entries[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
+    aug = [list(f.entries[i]) + list(basis_vector(n, i)) for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise NotInvertibleError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
+        inv_p = Fraction(1) / aug[col][col]
         aug[col] = [x * inv_p for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
@@ -414,7 +414,7 @@ def invert(f: LinearMap) -> LinearMap:
     return LinearMap(tuple(tuple(row[n:]) for row in aug))
 
 
-def nonzero_entries(grid: Sequence[Sequence]) -> list[tuple[int, int, Fraction]]:
+def nonzero_entries(grid: Sequence[Sequence]) -> list[tuple[int, int, Scalar]]:
     """The ``(p, q, grid[p][q])`` triples with a nonzero entry, row by row."""
     return [(p, q, c) for p, row in enumerate(grid)
             for q, c in enumerate(row) if c]
@@ -424,20 +424,21 @@ def tensor_sum(dim: int, rank: int, terms: Iterable[tuple]) -> list:
     """Exact sum of ``c * v_1 (x) ... (x) v_rank`` over ``(c, v_1, ..., v_rank)``.
 
     The result is a vector, grid or cube (rank 1, 2 or 3) of ``dim``-long
-    nested lists seeded with ``Fraction(0)``.  Zero coefficients and zero
+    nested lists seeded with ``0``, so that its entries are ``int`` where the
+    terms are.  Zero coefficients and zero
     coordinates are skipped.  Each rank has its own loop: a rank-generic
     recursion is measurably slower on the checkers' hot paths.
     """
     terms = [t for t in terms if t[0]]
     if rank == 1:
-        out = [Fraction(0)] * dim
+        out = [0] * dim
         for c, u in terms:
             for a, x in enumerate(u):
                 if x:
                     out[a] += c * x
         return out
     if rank == 2:
-        out = [[Fraction(0)] * dim for _ in range(dim)]
+        out = [[0] * dim for _ in range(dim)]
         for c, u, v in terms:
             for a, x in enumerate(u):
                 if not x:
@@ -448,7 +449,7 @@ def tensor_sum(dim: int, rank: int, terms: Iterable[tuple]) -> list:
                         row[b] += cx * y
         return out
     if rank == 3:
-        out = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        out = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for c, u, v, w in terms:
             for a, x in enumerate(u):
                 if not x:

@@ -40,7 +40,9 @@ from .exactlin import (
     CheckVerdict,
     Comultiplication,
     LinearMap,
+    Scalar,
     Tensor2,
+    Vector,
 )
 from .structures import (
     AlphaBetaRB,
@@ -83,7 +85,7 @@ class Document:
 # Scalar and grid primitives
 # ---------------------------------------------------------------------------
 
-def parse_scalar(value, path: str) -> Fraction:
+def parse_scalar(value, path: str) -> Scalar:
     if not isinstance(value, str):
         raise DocumentError(path, f"scalar must be a string, got {type(value).__name__}")
     m = _SCALAR_RE.match(value)
@@ -93,10 +95,10 @@ def parse_scalar(value, path: str) -> Fraction:
     q = int(m.group(2)) if m.group(2) else 1
     if math.gcd(abs(p), q) != 1:
         raise DocumentError(path, f"scalar {value!r} is not in lowest terms")
-    return Fraction(p, q)
+    return p if q == 1 else Fraction(p, q)
 
 
-def format_scalar(x: Fraction) -> str:
+def format_scalar(x: Scalar) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -106,7 +108,7 @@ def _expect(obj, typ, path: str, what: str):
     return obj
 
 
-def _parse_vector(value, dim: int, path: str) -> tuple[Fraction, ...]:
+def _parse_vector(value, dim: int, path: str) -> Vector:
     _expect(value, list, path, "a list")
     if len(value) != dim:
         raise DocumentError(path, f"expected length {dim}, got {len(value)}")

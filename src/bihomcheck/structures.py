@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlin import (
     BilinearOp,
@@ -462,7 +461,7 @@ def check_hom_lie(l: HomLie):
         t3 = br.apply(al.column(k), br.basis_product(i, j))
         return vec_add(vec_add(t1, t2), t3)
 
-    zero = (Fraction(0),) * d
+    zero = (0,) * d
     return itertools.chain(
         identity("skew-symmetry", d, 2, br.basis_product,
                  lambda i, j: tuple(-x for x in br.basis_product(j, i))),
@@ -561,8 +560,6 @@ def check_aybe(a: BiHomAlgebra, r: Tensor2):
 
     if r.dim != a.dim:
         raise ShapeError("r does not live on the algebra")
-    zero = Fraction(0)
-
     def laws():
         for law, f in (("alpha-invariance", a.alpha), ("beta-invariance", a.beta)):
             inv = map_tensor2(f, f, r).coeffs
@@ -570,6 +567,6 @@ def check_aybe(a: BiHomAlgebra, r: Tensor2):
                                 lambda i, j: r.coeffs[i][j])
         res = aybe_residue(a, r).coeffs
         yield from identity("yang-baxter-residue", a.dim, 3,
-                            lambda i, j, k: res[i][j][k], lambda i, j, k: zero)
+                            lambda i, j, k: res[i][j][k], lambda i, j, k: 0)
 
     return laws()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .constructions import (
@@ -145,7 +144,7 @@ def _as_verdict(v: CheckVerdict | bool, law: str) -> CheckVerdict:
         return v
     if v:
         return CheckVerdict.ok()
-    return CheckVerdict.fail(law, (), Fraction(1), Fraction(0))
+    return CheckVerdict.fail(law, (), 1, 0)
 
 
 def _equiv_verdict(law: str, a: CheckVerdict, b: CheckVerdict) -> CheckVerdict:
@@ -155,7 +154,7 @@ def _equiv_verdict(law: str, a: CheckVerdict, b: CheckVerdict) -> CheckVerdict:
         return CheckVerdict.ok()
     bad = b if a.passed else a
     return CheckVerdict.fail(law, bad.witness.indices,
-                             Fraction(int(a.passed)), Fraction(int(b.passed)))
+                             int(a.passed), int(b.passed))
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +501,10 @@ def _brace_operators(entry_id: str, pair_index: int
 def _r_e12() -> LinearMap:
     """R(a) = e12 a e12 on the matrix algebra."""
     m2 = catalogue_entry("m2").structure
-    e12 = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+    e12 = (0, 1, 0, 0)
     cols = []
     for j in range(4):
-        e = tuple(Fraction(1 if t == j else 0) for t in range(4))
+        e = tuple(1 if t == j else 0 for t in range(4))
         cols.append(m2.mu.apply(e12, m2.mu.apply(e, e12)))
     return LinearMap.from_columns(cols)
 
@@ -605,7 +604,7 @@ def _instances_t3():
 
 
 def _grid_maps(dim: int = 2):
-    values = (Fraction(-1), Fraction(0), Fraction(1))
+    values = (-1, 0, 1)
     for entries in itertools.product(values, repeat=dim * dim):
         rows = [entries[i * dim:(i + 1) * dim] for i in range(dim)]
         yield LinearMap(rows)

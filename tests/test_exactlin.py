@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from bihomcheck.exactlin import (
     bilinear_equal,
     compose,
     compose_delta,
+    frac,
     invert,
     is_algebra_map,
     is_coalgebra_map,
@@ -167,7 +169,11 @@ class TestTensorSum:
         out = tensor_sum(2, 3, [(2, (1, 0), (1, 0), (1, 1))])
         flat = [x for plane in out for row in plane for x in row]
         assert flat == [2, 2, 0, 0, 0, 0, 0, 0]
-        assert all(type(x) is Fraction for x in flat)
+        # exact, never float: integral sums stay int
+        assert all(type(x) in (int, Fraction) for x in flat)
+        half = tensor_sum(2, 3, [(F(1, 2), (1, 0), (1, 0), (1, 1))])
+        assert half[0][0] == [F(1, 2), F(1, 2)]
+        assert all(type(x) is Fraction for x in half[0][0])
 
     def test_unsupported_rank(self):
         with pytest.raises(ValueError):
@@ -241,6 +247,20 @@ class TestExactness:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             LinearMap([[0.5, 0], [0, 1]])
+        with pytest.raises(TypeError):
+            frac(0.5)
+
+    def test_integral_values_are_ints(self):
+        for x, want in ((3, 3), (F(4, 2), 2), ("3/1", 3), ("-6/4", F(-3, 2)),
+                        (True, 1), (np.int64(5), 5)):
+            got = frac(x)
+            assert got == want and type(got) is type(want)
+
+    def test_invert_keeps_exact_halves(self):
+        inv = invert(diag(2, 1))
+        assert inv == diag(F(1, 2), 1)
+        assert [type(x) for row in inv.entries for x in row] == \
+            [Fraction, int, int, int]
 
     def test_repeated_computation_is_identical(self, m2):
         e21 = (F(0), F(0), F(1), F(0))
