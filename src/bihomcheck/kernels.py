@@ -12,11 +12,14 @@ computation.  ``grid_problem`` makes that decision: it returns None, and the
 search runs the exact rational path, unless all data is integral and the
 bound fits comfortably in int64.
 
-The mask is a vectorized numpy evaluation of whole candidate chunks.  The
-search layer asks ``resolve_backend`` (``auto`` / ``numpy`` / ``exact``)
-whether to try the fast path, builds the problem only if so, and
-re-certifies every survivor with the exact rational checkers regardless of
-the path taken.
+The mask is a vectorized numpy evaluation over chunks of candidates, in
+stages: the conditions run in certifier order, each one slice of its first
+output index at a time, and each stage sees only the candidates that passed
+every stage before it.  Nearly every candidate fails early, so most of the
+chunk is dropped after the first few slices.  The search layer asks
+``resolve_backend`` (``auto`` / ``numpy`` / ``exact``) whether to try the
+fast path, builds the problem only if so, and re-certifies every survivor
+with the exact rational checkers regardless of the path taken.
 """
 
 from __future__ import annotations
@@ -149,63 +152,107 @@ def scatter(problem: GridProblem, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
 # The mask: each condition as a subtraction-free (lhs, rhs) pair
 # ---------------------------------------------------------------------------
 
-def _np_conditions(problem: GridProblem, cands: tuple[np.ndarray, ...]):
+def _np_conditions(problem: GridProblem) -> list:
+    """The target's conditions, commutations first and the main law last,
+    as the certifier checks them.  Each is a function
+    ``cond(cands, lead) -> (lhs, rhs)`` of batch-first candidate matrices;
+    ``lead`` slices the first output index after the batch axis, and is
+    applied to every operand carrying that index, so ``lhs`` and ``rhs``
+    are that slice of the condition's two sides.  An intermediate built
+    from sliced operands (``U``, ``w``) is not sliced again."""
     mu, L, R_, comm = problem.mu, problem.left, problem.right, problem.commute
-    kind = problem.kind
-    out = []
-    if kind == "aybe":
+
+    def e(spec, *operands):
+        return np.einsum(spec, *operands, optimize=True)
+
+    def commutes(M):  # R M == M R
+        def cond(cands, lead):
+            R = cands[0]
+            return e("xab,bc->xac", R[:, lead], M), e("ab,xbc->xac", M[lead], R)
+        return cond
+
+    def invariant(M):  # (M (x) M) r == r
+        def cond(cands, lead):
+            (r,) = cands
+            return e("ap,xpq,cq->xac", M[lead], r, M), r[:, lead]
+        return cond
+
+    def aybe(cands, lead):
         (r,) = cands
-        for M in (L, R_):
-            out.append((np.einsum("ap,xpq,cq->xac", M, r, M, optimize=True), r))
-        t12 = np.einsum("up,xpq,qsv,xst,wt->xuvw", L, r, mu, r, R_, optimize=True)
-        t13 = np.einsum("xpq,xst,psu,vt,wq->xuvw", r, r, mu, R_, R_, optimize=True)
-        t23 = np.einsum("up,vs,xpq,xst,tqw->xuvw", L, L, r, r, mu, optimize=True)
-        out.append((t13 + t23, t12))
-    elif kind in ("brace-rb", "paren-rb", "derivation"):
+        t12 = e("up,xpq,qsv,xst,wt->xuvw", L[lead], r, mu, r, R_)
+        t13 = e("xpq,xst,psu,vt,wq->xuvw", r, r, mu[:, :, lead], R_, R_)
+        t23 = e("up,vs,xpq,xst,tqw->xuvw", L[lead], L, r, r, mu)
+        return t13 + t23, t12
+
+    def brace_rb(cands, lead):
         (R,) = cands
-        for M in comm:
-            out.append((np.einsum("xab,bc->xac", R, M, optimize=True),
-                        np.einsum("ab,xbc->xac", M, R, optimize=True)))
-        if kind == "brace-rb":
-            U = np.einsum("xab,bc->xac", R, L, optimize=True)
-            V = np.einsum("xab,bc->xac", R, R_, optimize=True)
-            lhs = np.einsum("xpi,xqj,pqk->xijk", U, V, mu, optimize=True)
-            w = (np.einsum("pi,xqj,pqm->xijm", L, R, mu, optimize=True)
-                 + np.einsum("xpi,qj,pqm->xijm", R, R_, mu, optimize=True))
-            rhs = np.einsum("xijm,xkm->xijk", w, R, optimize=True)
-            out.append((lhs, rhs))
-        elif kind == "paren-rb":
-            lhs = np.einsum("xpi,xqj,pqk->xijk", R, R, mu, optimize=True)
-            U = np.einsum("ab,xbc->xac", L, R, optimize=True)
-            V = np.einsum("ab,xbc->xac", R_, R, optimize=True)
-            w = (np.einsum("xpi,pjm->xijm", U, mu, optimize=True)
-                 + np.einsum("xqj,iqm->xijm", V, mu, optimize=True))
-            rhs = np.einsum("xijm,xkm->xijk", w, R, optimize=True)
-            out.append((lhs, rhs))
-        else:
-            lhs = np.einsum("ijm,xkm->xijk", mu, R, optimize=True)
-            rhs = (np.einsum("xpi,qj,pqk->xijk", R, R_, mu, optimize=True)
-                   + np.einsum("pi,xqj,pqk->xijk", L, R, mu, optimize=True))
-            out.append((lhs, rhs))
-    elif kind == "map-pair":
+        U = e("xab,bc->xac", R, L[:, lead])
+        V = e("xab,bc->xac", R, R_)
+        lhs = e("xpi,xqj,pqk->xijk", U, V, mu)
+        w = (e("pi,xqj,pqm->xijm", L[:, lead], R, mu)
+             + e("xpi,qj,pqm->xijm", R[:, :, lead], R_, mu))
+        return lhs, e("xijm,xkm->xijk", w, R)
+
+    def paren_rb(cands, lead):
+        (R,) = cands
+        lhs = e("xpi,xqj,pqk->xijk", R[:, :, lead], R, mu)
+        U = e("ab,xbc->xac", L, R[:, :, lead])
+        V = e("ab,xbc->xac", R_, R)
+        w = e("xpi,pjm->xijm", U, mu) + e("xqj,iqm->xijm", V, mu[lead])
+        return lhs, e("xijm,xkm->xijk", w, R)
+
+    def derivation(cands, lead):
+        (R,) = cands
+        lhs = e("ijm,xkm->xijk", mu[lead], R)
+        rhs = (e("xpi,qj,pqk->xijk", R[:, :, lead], R_, mu)
+               + e("pi,xqj,pqk->xijk", L[:, lead], R, mu))
+        return lhs, rhs
+
+    def multiplicative(n):  # f(x y) == f(x) f(y) for f = cands[n]
+        def cond(cands, lead):
+            f = cands[n]
+            return (e("ijm,xkm->xijk", mu[lead], f),
+                    e("xpi,xqj,pqk->xijk", f[:, :, lead], f, mu))
+        return cond
+
+    def pair_commutes(cands, lead):  # f g == g f
         f, g = cands
-        for h in (f, g):
-            lhs = np.einsum("ijm,xkm->xijk", mu, h, optimize=True)
-            rhs = np.einsum("xpi,xqj,pqk->xijk", h, h, mu, optimize=True)
-            out.append((lhs, rhs))
-        out.append((np.einsum("xab,xbc->xac", f, g, optimize=True),
-                    np.einsum("xab,xbc->xac", g, f, optimize=True)))
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    return out
+        return e("xab,xbc->xac", f[:, lead], g), e("xab,xbc->xac", g[:, lead], f)
+
+    kind = problem.kind
+    if kind == "aybe":
+        return [invariant(L), invariant(R_), aybe]
+    laws = {"brace-rb": brace_rb, "paren-rb": paren_rb,
+            "derivation": derivation}
+    if kind in laws:
+        return [*map(commutes, comm), laws[kind]]
+    if kind == "map-pair":
+        return [multiplicative(0), multiplicative(1), pair_commutes]
+    raise ValueError(f"unknown problem kind {kind!r}")
 
 
 def numpy_mask(problem: GridProblem, cands: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Which candidates of the batch pass every condition of the target.
+
+    The conditions run in certifier order, each one slice ``lead`` of its
+    first output index at a time, and each slice only on the candidates
+    that passed everything before it; the loop stops once none is left.  A
+    conjunction does not depend on the order of its conjuncts, and two
+    tensors are equal exactly when each of their slices is, so the mask is
+    that of every condition evaluated on the whole batch."""
     batch = cands[0].shape[0]
-    mask = np.ones(batch, dtype=bool)
-    for lhs, rhs in _np_conditions(problem, cands):
-        axes = tuple(range(1, lhs.ndim))
-        mask &= (lhs == rhs).all(axis=axes)
+    keep = np.arange(batch)
+    for cond in _np_conditions(problem):
+        for a in range(problem.dim):
+            lhs, rhs = cond(cands, slice(a, a + 1))
+            ok = (lhs == rhs).reshape(len(keep), -1).all(axis=1)
+            if not ok.all():
+                keep = keep[ok]
+                if not keep.size:
+                    return np.zeros(batch, dtype=bool)
+                cands = tuple(c[ok] for c in cands)
+    mask = np.zeros(batch, dtype=bool)
+    mask[keep] = True
     return mask
 
 
@@ -213,7 +260,9 @@ def magnitude_bound(problem: GridProblem, coeff_max: int) -> int:
     """Largest value either side of any condition can reach, computed with
     arbitrary-precision integers on the all-|max| candidate.  Every
     intermediate of the int64 evaluation is bounded by the corresponding
-    abs-evaluated value, so bound < 2^62 guarantees overflow-free masks."""
+    abs-evaluated value, so bound < 2^62 guarantees overflow-free masks.
+    The conditions are evaluated unsliced here; the mask's sliced sides are
+    sub-arrays of these, so the same bound holds for them."""
     absprob = GridProblem(
         problem.kind, problem.dim,
         np.abs(problem.mu).astype(object),
@@ -226,7 +275,8 @@ def magnitude_bound(problem: GridProblem, coeff_max: int) -> int:
         full = np.concatenate([full, full], axis=1)
     cands = scatter(absprob, full)
     worst = 0
-    for lhs, rhs in _np_conditions(absprob, cands):
+    for cond in _np_conditions(absprob):
+        lhs, rhs = cond(cands, slice(None))
         worst = max(worst, int(np.max(lhs)), int(np.max(rhs)))
     return worst
 

@@ -1,7 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bihomcheck import kernels
 from bihomcheck.constructions import PreconditionError
@@ -44,10 +47,97 @@ from bihomcheck.structures import (
 F = Fraction
 BACKENDS = ("exact", "numpy")
 GRIDS = ((-1, 0, 1), (-2, -1, 0, 1, 2))
+KINDS = ("aybe", "brace-rb", "paren-rb", "derivation", "map-pair")
+# k[x]/(x^3), unital on e0 = 1, e1 = x, e2 = x^2
+POLY3 = BilinearOp.from_products(3, {
+    (0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (1, 0): (0, 1, 0),
+    (0, 2): (0, 0, 1), (2, 0): (0, 0, 1), (1, 1): (0, 0, 1)})
 
 
 def diag(*values):
     return LinearMap.diagonal(values)
+
+
+def all_slots(dim):
+    return [(i, j) for i in range(dim) for j in range(dim)]
+
+
+def grid_candidates(problem):
+    """Every candidate of the problem's grid, as ``scatter`` places them,
+    and the coefficient indices each was decoded from."""
+    total = len(problem.values) ** problem.n_slots
+    digits = kernels.decode_chunk(0, total, len(problem.values),
+                                  problem.n_slots)
+    values = np.array(problem.values, dtype=np.int64)
+    return kernels.scatter(problem, values[digits]), digits
+
+
+def condition_masks(problem, cands):
+    """One mask per condition, each evaluated unsliced on the whole batch."""
+    masks = []
+    for cond in kernels._np_conditions(problem):
+        lhs, rhs = cond(cands, slice(None))
+        masks.append((lhs == rhs).reshape(len(lhs), -1).all(axis=1))
+    return masks
+
+
+def first_failures(problem):
+    """The index of the first condition each rejected candidate fails."""
+    masks = condition_masks(problem, grid_candidates(problem)[0])
+    return {int(np.argmin(column)) for column in np.array(masks).T
+            if not column.all()}
+
+
+def assert_staged_mask_matches_reference(problem):
+    cands, digits = grid_candidates(problem)
+    # each slice of a condition is exactly that sub-array of its unsliced
+    # sides, on passing and failing candidates alike; the int64 bound of
+    # magnitude_bound rests on this too
+    for cond in kernels._np_conditions(problem):
+        sides = cond(cands, slice(None))
+        for a in range(problem.dim):
+            lead = slice(a, a + 1)
+            for got, whole in zip(cond(cands, lead), sides):
+                assert np.array_equal(got, whole[:, lead])
+    reference = np.logical_and.reduce(condition_masks(problem, cands))
+    assert np.array_equal(kernels.numpy_mask(problem, cands), reference)
+    expected = [tuple(d) for d in digits[reference].tolist()]
+    for chunk in (1, 7, 8192):
+        assert kernels.fast_survivors(problem, chunk=chunk) == expected
+
+
+@st.composite
+def integer_problems(draw):
+    """A random integer grid problem of any kind on dimension 2 or 3, with
+    entries in -2..2.  Catalogue products and identity maps are drawn often,
+    so that many candidates pass the first conditions and a later one must
+    do the rejecting."""
+    kind = draw(st.sampled_from(KINDS))
+    d = draw(st.sampled_from((2, 3)))
+    entries = st.integers(-2, 2)
+    grid = st.lists(st.lists(entries, min_size=d, max_size=d),
+                    min_size=d, max_size=d)
+    known = ([catalogue_entry(k).structure.mu.cube for k in ("n2", "na2", "dx2")]
+             if d == 2 else [POLY3.cube])
+    mu = draw(st.one_of(st.sampled_from(known),
+                        st.lists(grid, min_size=d, max_size=d)))
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    signs = st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d).map(
+        lambda diag: [[diag[i] * (i == j) for j in range(d)] for i in range(d)])
+    maps = st.one_of(st.just(ident), signs, grid)
+    n_maps = {"aybe": 2, "map-pair": 0}.get(kind, 2 + draw(st.integers(0, 2)))
+    values = draw(st.sampled_from(((-1, 0, 1), (0, 1), (-2, 0, 2),
+                                   (-2, -1, 0, 1, 2))))
+    # as many slots as keep the grid within 243 candidates, so that chunks
+    # of one candidate stay quick
+    per_slot = 2 if kind == "map-pair" else 1
+    n_slots = min(d * d, int(np.log(243.5) / np.log(len(values)) / per_slot))
+    slots = sorted(draw(st.permutations(all_slots(d)))[:n_slots])
+    problem = kernels.grid_problem(
+        kind, BilinearOp(mu), [LinearMap(draw(maps)) for _ in range(n_maps)],
+        slots, tuple(F(v) for v in values))
+    assert problem is not None
+    return problem
 
 
 class TestCatalogue:
@@ -303,6 +393,65 @@ class TestKernels:
         assert problem((F(0), F(1)), (id2, diag(1, F(1, 2)))) is None
         assert problem((F(0), F(2) ** 30)) is not None
         assert problem((F(0), F(2) ** 31)) is None
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(integer_problems())
+    def test_staged_mask_equals_the_unsliced_conjunction(self, problem):
+        assert_staged_mask_matches_reference(problem)
+
+    @pytest.mark.parametrize("case, stage", [
+        ("aybe/dx2-neg", 0),          # the alpha-invariance of r
+        ("map-pair/n2", 1),           # g is not multiplicative
+        ("brace-rb/dx2-id", 2),       # both maps commute; the RB law rejects
+        ("paren-rb/poly3-id", 1),     # the RB law, after one commutation
+        ("paren-rb/skew-id", 1),
+        ("derivation/dx2-neg", 0),    # the Leibniz law alone
+    ])
+    def test_every_kind_and_stage(self, case, stage, dx2, n2, neg_x, id2):
+        # each grid has nonzero solutions, so slicing a wrong operand shows;
+        # on ``skew`` (not associative) some paren-type operators R have
+        # R(e_i tau(R(x))) depending on i, unlike those of dx2 and poly3
+        skew = BilinearOp((((0, 0), (1, 1)), ((-1, -1), (1, 1))))
+        mu, maps, slots = {
+            "aybe/dx2-neg": (dx2.mu, (neg_x, neg_x), all_slots(2)),
+            "map-pair/n2": (n2.mu, (), [(0, 0), (0, 1), (1, 1)]),
+            "brace-rb/dx2-id": (dx2.mu, (id2,) * 4, all_slots(2)),
+            "paren-rb/poly3-id": (POLY3, (LinearMap.identity(3),) * 3,
+                                  all_slots(3)[4:]),
+            "paren-rb/skew-id": (skew, (id2,) * 3, all_slots(2)),
+            "derivation/dx2-neg": (dx2.mu, (neg_x, id2), all_slots(2)),
+        }[case]
+        problem = kernels.grid_problem(case.split("/")[0], mu, maps, slots,
+                                       (F(-1), F(0), F(1)))
+        assert stage in first_failures(problem)
+        assert len(kernels.fast_survivors(problem)) > 1
+        assert_staged_mask_matches_reference(problem)
+
+    @pytest.mark.parametrize("kind, ambient, maps, coeff_max, bound", [
+        ("aybe", "m2", ("conj_d", "id4"), 1, 4),
+        ("aybe", "dx2", ("neg_x", "neg_x"), 2, 16),
+        ("brace-rb", "n2", ("sgn", "id2", "sgn"), 2, 8),
+        ("paren-rb", "poly3", ("id3", "id3"), 1, 6),
+        ("derivation", "dx2", ("neg_x", "id2", "neg_x"), 5, 10),
+        ("derivation", "poly3", ("id3", "id3"), 2, 4),
+        ("map-pair", "m2", (), 1, 4),
+        ("map-pair", "n2", (), 3, 18),
+    ])
+    def test_magnitude_bound_is_pinned(self, kind, ambient, maps, coeff_max,
+                                       bound):
+        # values recorded before the mask was staged: a change here moves
+        # grids between the int64 path and the exact path
+        def named(name):
+            if name[:2] == "id":
+                return LinearMap.identity(int(name[2:]))
+            return catalogue_entry(name).structure
+
+        mu = POLY3 if ambient == "poly3" else named(ambient).mu
+        coefficients = tuple(F(v) for v in range(-coeff_max, coeff_max + 1))
+        problem = kernels.grid_problem(kind, mu, [named(m) for m in maps],
+                                       all_slots(mu.dim), coefficients)
+        assert kernels.magnitude_bound(problem, coeff_max) == bound
 
     def test_map_pair_problem_has_no_twists(self, n2):
         problem = kernels.grid_problem("map-pair", n2.mu, (), [(0, 0)],
